@@ -8,10 +8,10 @@ defining axioms and quantitative bounds.
 
 __version__ = "0.1.0"
 
-from .errors import (AboveRange, CoalflowError, ConfigError,
-                     CovarianceNotFactorizable, EmptyStarts, InvalidGap,
-                     InvalidTimePair, NegativeDuration, NoAnalyticLaw,
-                     NonPositiveDiffusion, OffGridTime, OutOfHorizon)
+from .errors import (AboveRange, CoalflowError, ConfigError, EmptyStarts,
+                     InvalidGap, InvalidTimePair, NegativeDuration,
+                     NoAnalyticLaw, NonPositiveDiffusion, OffGridTime,
+                     OutOfHorizon)
 from .flows import (AnalyticFlow, ConstantFlow, EvalQuery, FlowElement,
                     SkeletonEnvelope, analytic_flow_element, characterize_lt,
                     check_flow_axioms, cocycle, evaluate, range_at, shift,
@@ -26,7 +26,7 @@ from .skeleton import (SkeletonConfig, SkeletonFlow, build_skeleton,
 
 __all__ = [
     "AboveRange", "AnalyticFlow", "CoalflowError", "ConfigError",
-    "ConstantFlow", "CovarianceNotFactorizable", "DiffusionSpec", "EmptyStarts",
+    "ConstantFlow", "DiffusionSpec", "EmptyStarts",
     "EvalQuery", "FlowElement", "HarrisSpec", "InvalidGap", "InvalidTimePair",
     "NegativeDuration", "NoAnalyticLaw", "NonPositiveDiffusion", "OffGridTime",
     "OutOfHorizon", "RngStream", "SkeletonConfig", "SkeletonEnvelope",

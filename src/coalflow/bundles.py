@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from .flows import (AxiomPlan, ConstantFlow, EvalQuery, FlowElement,
 from .motions import DiffusionSpec
 from .reports import TestReport, exact_report, write_replica_csv
 from .rng import RngStream
-from .skeleton import SkeletonConfig, SpCheckPlan, build_skeleton, check_sp_properties
+from .skeleton import SkeletonConfig, build_skeleton, check_sp_properties
 from .verify import DriftInjectedSpec
 
 

@@ -10,6 +10,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -17,12 +18,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bundles import BUNDLES, run_bundle
-from .config import RunConfig
-from .errors import AboveRange, CoalflowError, OffGridTime, OutOfHorizon
+from .config import KNOWN_BUNDLES, RunConfig
+from .errors import (AboveRange, CoalflowError, ConfigError, OffGridTime,
+                     OutOfHorizon)
 from .flows import EvalQuery, evaluate_with_id, skeleton_flow_element
 from .reports import write_bundle, write_replica_csv
-from .rng import RngStream, worker_count
+from .rng import RngStream
 from .skeleton import SkeletonFlow, build_skeleton
 
 
@@ -90,6 +91,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig, bundles=None) -> int:
+    # bundles pulls in scipy; simulate and export never need it
+    from .bundles import run_bundle
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     names = list(bundles or cfg.bundles)
@@ -111,21 +114,47 @@ def cmd_verify(cfg: RunConfig, bundles=None) -> int:
 
 
 def _bundle_path_index(name: str) -> int:
-    return 1000 + sorted(BUNDLES).index(name)
+    return 1000 + sorted(KNOWN_BUNDLES).index(name)
+
+
+def _read_queries(path: str) -> list:
+    """Raw (s, x, t) text of each query row; a file without all three
+    columns is a ConfigError."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = {"s", "x", "t"} - set(reader.fieldnames or ())
+        if missing:
+            raise ConfigError(f"{path}: no column(s) {sorted(missing)}")
+        return [(r["s"], r["x"], r["t"]) for r in reader]
+
+
+def _parse_query(fields):
+    """(s, x, t) as floats, or None for a row that is not a valid query:
+    a missing or non-numeric field, a non-finite value, or s > t."""
+    try:
+        s, x, t = (float(v) for v in fields)
+    except (TypeError, ValueError):
+        return None
+    if not all(map(math.isfinite, (s, x, t))) or s > t:
+        return None
+    return s, x, t
 
 
 def cmd_export(snapshot: str, queries: str, out_path: str) -> int:
     skel = SkeletonFlow.load(snapshot)
     f = skeleton_flow_element(skel)
+    rows = _read_queries(queries)
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(queries) as fh:
-        reader = csv.DictReader(fh)
-        rows = [(float(r["s"]), float(r["x"]), float(r["t"])) for r in reader]
     with open(out_path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["s", "x", "t", "value", "trajectory_id", "status"])
-        for (s, x, t) in rows:
+        for fields in rows:
+            q = _parse_query(fields)
+            if q is None:
+                w.writerow([*fields, "", "", "invalid_query"])
+                continue
+            s, x, t = q
             try:
                 v, tid = evaluate_with_id(f, EvalQuery(s, x, t))
                 w.writerow([repr(s), repr(x), repr(t), repr(float(v)), tid, "ok"])
@@ -164,7 +193,7 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")
     p_ver.add_argument("--bundle", action="append", default=None,
-                       choices=sorted(BUNDLES),
+                       choices=sorted(KNOWN_BUNDLES),
                        help="bundle to run (repeatable; default: config)")
 
     p_exp = sub.add_parser("export", help="evaluate queries on a snapshot")
@@ -181,7 +210,7 @@ def main(argv=None) -> int:
             return cmd_verify(_load_config(args), bundles=args.bundle)
         if args.command == "export":
             return cmd_export(args.snapshot, args.queries, args.out)
-    except CoalflowError as exc:
+    except (CoalflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

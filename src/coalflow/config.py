@@ -5,11 +5,10 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .errors import ConfigError
 from .motions import MotionModel
-from .skeleton import SkeletonConfig, model_from_dict, model_to_dict
+from .skeleton import SkeletonConfig, model_from_dict
 
 DEFAULT_SKELETON = {
     "window": [0.0, 1.0], "dx": 1.0 / 32, "t0": 0.0, "t1": 1.0,

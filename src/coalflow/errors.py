@@ -21,10 +21,6 @@ class EmptyStarts(CoalflowError):
     pass
 
 
-class CovarianceNotFactorizable(CoalflowError):
-    """Harris step covariance failed Cholesky even after diagonal jitter."""
-
-
 class OffGridTime(CoalflowError):
     """Requested time does not lie on the skeleton's time grid (or was not observed)."""
 

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import AboveRange
 from .reports import TestReport, exact_report
 from .rng import RngStream
-from .skeleton import SkeletonFlow
+from .skeleton import SkeletonFlow, max_window_gap
 
 
 def _g(u: Fraction) -> Fraction:
@@ -348,12 +348,12 @@ def check_flow_axioms(f: FlowElement, rng: RngStream,
         lo, hi = c + eps_d, cp - eps_d
         for k in ks:
             vals = np.sort(skel.range_values_at(int(k)))
-            worst = max(worst, _max_gap_window(vals, lo, hi))
+            worst = max(worst, max_window_gap(vals, lo, hi))
         n_times = len(ks)
     else:
         vals = range_at(f, 0.0)
         lo, hi = b.window[0] + eps_d, b.window[1] - eps_d
-        worst = _max_gap_window(vals, lo, hi)
+        worst = max_window_gap(vals, lo, hi)
         n_times = 1
     reports.append(TestReport(
         name="F2_range_density", statistic=worst, reference=eps_d,
@@ -439,17 +439,6 @@ def _f4_witness_ok(f: FlowElement, q: EvalQuery) -> bool:
     if np.any(rng_vals == u0):
         return False
     return skel.value(origin, k_t) == value
-
-
-def _max_gap_window(pos: np.ndarray, lo: float, hi: float) -> float:
-    if pos.size == 0:
-        return hi - lo
-    left = pos[pos <= lo]
-    right = pos[pos >= hi]
-    inner = pos[(pos > lo) & (pos < hi)]
-    seq = np.concatenate(([left.max() if left.size else lo], inner,
-                          [right.min() if right.size else hi]))
-    return float(np.max(np.diff(seq))) if seq.size > 1 else hi - lo
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 Samplers for the consistent transition families behind three model classes:
 Brownian trajectories that are independent before meeting (Arratia), general
 coalescing diffusions dX = a(X)dt + b(X)dw with independent driving noise,
-and Harris flows with spatially correlated noise d<w_x,w_y> = Gamma(x-y)dt.
+and Harris flows with spatially correlated noise d<w_x,w_y> = Gamma(x-y)dt
+(exponential Gamma, whose correlated step costs O(n) through an exact
+Markov recursion in x).
 Trajectories that meet are merged and never separate again; between grid
 points a Brownian-bridge minimum law resolves coalescence exactly for
 constant-coefficient models and to O(dt) for the rest.
@@ -12,17 +14,16 @@ constant-coefficient models and to O(dt) for the rest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import (CovarianceNotFactorizable, EmptyStarts, InvalidGap,
-                     NegativeDuration, NonPositiveDiffusion)
+from .errors import (EmptyStarts, InvalidGap, NegativeDuration,
+                     NonPositiveDiffusion)
 from .numerics import adaptive_simpson
 from .rng import RngStream
 
-HARRIS_JITTER = 1e-12
 SCALE_REL_TOL = 1e-10
 
 
@@ -77,12 +78,6 @@ class DiffusionSpec:
         if self.kind == "ou":
             return np.full_like(x, self.sigma)
         return np.asarray(self.diffusion_fn(x), dtype=float)
-
-    def check_positive_diffusion(self, lo: float, hi: float, n: int = 257) -> None:
-        """Sample b over [lo, hi]; raise if any value is <= 0."""
-        xs = np.linspace(lo, hi, n)
-        if np.any(self.diffusion(xs) <= 0.0):
-            raise NonPositiveDiffusion(f"b(x) <= 0 somewhere in [{lo}, {hi}]")
 
 
 @dataclass(frozen=True)
@@ -337,25 +332,30 @@ def propose_diffusion_step(spec: DiffusionSpec, positions: np.ndarray,
 
 def propose_harris_step(spec: HarrisSpec, positions: np.ndarray, dt: float,
                         gen: np.random.Generator):
-    """Joint Gaussian step with covariance Gamma(x_i - x_j) dt, factorized by
-    Cholesky with one diagonal jitter retry; merges on sign change or a
-    sub-threshold gap."""
+    """Joint Gaussian step with covariance Gamma(x_i - x_j) dt; merges on sign
+    change or a sub-threshold gap.
+
+    On sorted positions, Gamma(x) = exp(-gamma|x|) is the covariance of a
+    stationary Ornstein-Uhlenbeck process in x, so its lower Cholesky factor
+    is applied exactly, in O(n), by the Markov recursion W_0 = z_0,
+    W_i = rho_i W_{i-1} + sigma_i z_i with rho_i = exp(-gamma(x_i - x_{i-1}))
+    and sigma_i = sqrt(1 - rho_i^2).  One standard_normal(n) draw per step.
+    """
     x = positions
     n = x.size
     z = gen.standard_normal(n)
     if n == 1:
         prop = x + math.sqrt(dt) * z
         return prop, np.zeros(0, dtype=bool)
-    cov = spec.correlation(x[:, None] - x[None, :])
-    try:
-        L = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        try:
-            L = np.linalg.cholesky(cov + HARRIS_JITTER * np.eye(n))
-        except np.linalg.LinAlgError as exc:
-            raise CovarianceNotFactorizable(
-                f"n={n} Harris covariance not factorizable") from exc
-    prop = x + math.sqrt(dt) * (L @ z)
+    gap = np.diff(x)
+    rho = np.exp(-spec.gamma * gap).tolist()
+    sz = (np.sqrt(-np.expm1(-2.0 * spec.gamma * gap)) * z[1:]).tolist()
+    acc = float(z[0])
+    w = [acc]
+    for r, s in zip(rho, sz):
+        acc = r * acc + s
+        w.append(acc)
+    prop = x + math.sqrt(dt) * np.array(w)
     d1 = np.diff(prop)
     flags = (d1 <= 0.0) | (d1 < spec.merge_gap)
     return prop, flags

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 
 @dataclass
@@ -74,7 +73,7 @@ def exact_report(name: str, violations: int, samples: int,
 
 
 def write_bundle(path, bundle: str, seed: int, config_hash: str,
-                 reports: list, eps_notes: Optional[dict] = None) -> Path:
+                 reports: list) -> Path:
     """Write one report bundle as deterministic JSON (sorted keys, no wall
     clock anywhere)."""
     path = Path(path)
@@ -86,8 +85,6 @@ def write_bundle(path, bundle: str, seed: int, config_hash: str,
         "all_pass": all(r.ok for r in reports),
         "reports": [r.to_dict() for r in reports],
     }
-    if eps_notes:
-        payload["declared_tolerances"] = eps_notes
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

@@ -9,8 +9,6 @@ spawn keys.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,10 +37,3 @@ class RngStream:
         ss = np.random.SeedSequence(self.seed, spawn_key=self.path)
         return np.random.Generator(np.random.Philox(ss))
 
-
-def worker_count() -> int:
-    """Replica-level parallelism; COALFLOW_THREADS overrides cpu count."""
-    env = os.environ.get("COALFLOW_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1

@@ -12,9 +12,9 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -290,27 +290,50 @@ class SkeletonFlow:
 
     @staticmethod
     def load(path) -> "SkeletonFlow":
+        """Read a snapshot written by save; a truncated or inconsistent file
+        is a ConfigError."""
         with open(path, "rb") as fh:
             if fh.read(4) != _MAGIC:
                 raise ConfigError("not a coalflow skeleton snapshot")
-            version, hlen = struct.unpack("<II", fh.read(8))
+            version, hlen = struct.unpack("<II", _read_exact(fh, 8))
             if version != _FORMAT_VERSION:
                 raise ConfigError(f"unsupported snapshot version {version}")
-            header = json.loads(fh.read(hlen).decode())
+            try:
+                header = json.loads(_read_exact(fh, hlen).decode())
+                cfg = SkeletonConfig.from_dict(header["config"])
+                seed, rng_path = header["seed"], tuple(header["rng_path"])
+                n_traj = header["n_traj"]
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ConfigError(f"corrupt snapshot header: {exc}") from exc
             arrays = []
             for dtype in ("<f8", "<i8", "<i8", "<i8", "<i8", "<f8"):
-                (nbytes,) = struct.unpack("<Q", fh.read(8))
-                arrays.append(np.frombuffer(fh.read(nbytes), dtype=dtype))
+                (nbytes,) = struct.unpack("<Q", _read_exact(fh, 8))
+                if nbytes % 8:
+                    raise ConfigError(f"snapshot block of {nbytes} bytes")
+                arrays.append(np.frombuffer(_read_exact(fh, nbytes),
+                                            dtype=dtype))
+            if fh.read(1):
+                raise ConfigError("trailing bytes after snapshot")
         u0, act, parent, merge_step, lens, flat = arrays
+        if (any(a.size != n_traj for a in arrays[:5])
+                or np.any(lens < 0) or int(lens.sum()) != flat.size):
+            raise ConfigError("snapshot block lengths disagree")
         hist, off = [], 0
         for ln in lens:
             hist.append(flat[off:off + ln].copy())
             off += int(ln)
-        cfg = SkeletonConfig.from_dict(header["config"])
-        return SkeletonFlow(cfg, header["seed"], tuple(header["rng_path"]),
+        return SkeletonFlow(cfg, seed, rng_path,
                             u0.copy(), act.astype(np.int64).copy(),
                             parent.astype(np.int64).copy(),
                             merge_step.astype(np.int64).copy(), hist)
+
+
+def _read_exact(fh, n: int) -> bytes:
+    data = fh.read(n)
+    if len(data) != n:
+        raise ConfigError(f"truncated snapshot: wanted {n} bytes, "
+                          f"got {len(data)}")
+    return data
 
 
 def build_skeleton(config: SkeletonConfig, rng: RngStream) -> SkeletonFlow:
@@ -496,16 +519,17 @@ class SpCheckPlan:
     sp5_ladder: int = 4
 
 
-def _sp4_bound(model: MotionModel, a: float, b: float, duration: float,
-               window) -> float:
-    """1 + m(b) - m(a) with the meeting-time scale of the stepped model."""
+def cluster_count_bound(model: MotionModel, a: float, b: float,
+                        duration: float, window) -> float:
+    """1 + m(b) - m(a) with the meeting-time scale of the stepped model:
+    driftless models divide by delta = inf of b over the window, drifting
+    ones use the drift-removing scale m."""
     if isinstance(model, HarrisSpec):
         # no closed scale; Brownian comparison with unit diffusion
         return 1.0 + (b - a) / math.sqrt(math.pi * duration)
     if not model.has_drift:
         lo, hi = window
-        xs = np.linspace(lo, hi, 129)
-        delta = float(np.min(model.diffusion(xs)))
+        delta = float(np.min(model.diffusion(np.linspace(lo, hi, 257))))
         return 1.0 + (b - a) / (math.sqrt(math.pi * duration) * delta)
     return 1.0 + scale_function(model, b) - scale_function(model, a)
 
@@ -561,7 +585,7 @@ def check_sp_properties(skel: SkeletonFlow, rng: RngStream,
     worst = 0.0
     for k in ks:
         _, pos, _ = skel.clusters_at_index(int(k))
-        worst = max(worst, _max_gap(pos, lo, hi))
+        worst = max(worst, max_window_gap(pos, lo, hi))
     reports.append(TestReport(
         name="SP3_density", statistic=worst, reference=eps_d,
         replicas=len(ks), passed=bool(worst <= eps_d),
@@ -584,8 +608,8 @@ def check_sp_properties(skel: SkeletonFlow, rng: RngStream,
         sel = ids[(pos > a) & (pos < b)]
         vals = {skel.value(int(i), kt_) for i in sel}
         counts.append(float(len(vals)))
-        bounds.append(_sp4_bound(cfg.model, a, b, plan.sp4_duration,
-                                 cfg.window))
+        bounds.append(cluster_count_bound(cfg.model, a, b, plan.sp4_duration,
+                                          cfg.window))
     if counts:
         mean_count = float(np.mean(counts))
         mean_bound = float(np.mean(bounds))
@@ -612,7 +636,9 @@ def check_sp_properties(skel: SkeletonFlow, rng: RngStream,
     return reports
 
 
-def _max_gap(pos: np.ndarray, lo: float, hi: float) -> float:
+def max_window_gap(pos: np.ndarray, lo: float, hi: float) -> float:
+    """Largest gap between consecutive points on [lo, hi], counting the
+    nearest point at or beyond each end (or the end itself if none)."""
     if pos.size == 0:
         return hi - lo
     pts = np.asarray(pos, dtype=float)

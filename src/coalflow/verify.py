@@ -21,11 +21,10 @@ import numpy as np
 from . import kernels
 from .errors import NoAnalyticLaw
 from .flows import EvalQuery, evaluate, shift, skeleton_flow_element
-from .motions import (DiffusionSpec, HarrisSpec, MotionModel, SystemState,
-                      scale_function, step_system)
+from .motions import DiffusionSpec, SystemState, scale_function, step_system
 from .reports import TestReport, bound_report, pvalue_report
 from .rng import RngStream
-from .skeleton import SkeletonConfig, build_skeleton
+from .skeleton import SkeletonConfig, build_skeleton, cluster_count_bound
 from .stats import energy_two_sample, ks_against_normal, ks_two_sample
 
 
@@ -49,18 +48,6 @@ def meeting_bound_reference(spec: DiffusionSpec, x: float, y: float,
         delta = float(np.min(spec.diffusion(np.linspace(lo, hi, 257))))
         return (my - mx) / (math.sqrt(math.pi * t) * delta)
     return abs(my - mx)
-
-
-def cluster_count_bound(model: MotionModel, a: float, b: float,
-                        duration: float, window) -> float:
-    """1 + m(b) - m(a) with the same scale convention as the meeting bound."""
-    if isinstance(model, HarrisSpec):
-        return 1.0 + (b - a) / math.sqrt(math.pi * duration)
-    if not model.has_drift:
-        lo, hi = window
-        delta = float(np.min(model.diffusion(np.linspace(lo, hi, 257))))
-        return 1.0 + (b - a) / (math.sqrt(math.pi * duration) * delta)
-    return 1.0 + scale_function(model, b) - scale_function(model, a)
 
 
 def ou_moments(spec: DiffusionSpec, x: float, t: float):

@@ -8,6 +8,7 @@ import pytest
 from coalflow.cli import main
 from coalflow.config import RunConfig
 from coalflow.errors import ConfigError
+from coalflow.skeleton import SkeletonFlow
 
 
 def write_config(tmp_path, **overrides):
@@ -125,3 +126,79 @@ def test_cli_entrypoint_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "simulate" in proc.stdout and "verify" in proc.stdout
+
+
+def test_cli_import_leaves_scipy_out():
+    code = ("import sys, coalflow.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+def test_verify_unknown_bundle_exits_2():
+    from coalflow.bundles import BUNDLES
+    from coalflow.config import KNOWN_BUNDLES
+    assert sorted(BUNDLES) == sorted(KNOWN_BUNDLES)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--bundle", "nosuch"])
+    assert exc.value.code == 2
+
+
+@pytest.fixture(scope="module")
+def snapshot(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("snap")
+    cfg_path = write_config(tmp_path)
+    assert main(["simulate", "--config", str(cfg_path)]) == 0
+    return tmp_path / "out" / "skeleton.cfsk"
+
+
+def export_rows(snapshot, tmp_path, text):
+    queries = tmp_path / "queries.csv"
+    queries.write_text(text)
+    dest = tmp_path / "evals.csv"
+    rc = main(["export", "--snapshot", str(snapshot), "--queries",
+               str(queries), "--out", str(dest)])
+    return rc, dest.read_text().strip().splitlines()[1:] if rc == 0 else None
+
+
+@pytest.mark.parametrize("row", ["nan,0.5,0.2", "0.1,nan,0.2",
+                                 "0.2,0.5,0.1", "0.1,inf,0.2",
+                                 "0.1,abc,0.2", "0.1,0.5"])
+def test_export_invalid_row_gets_status(snapshot, tmp_path, row):
+    rc, lines = export_rows(snapshot, tmp_path,
+                            f"s,x,t\n0.1,0.5,0.2\n{row}\n0.1,0.5,0.2\n")
+    assert rc == 0 and len(lines) == 3
+    assert lines[1].endswith(",,,invalid_query")
+    assert lines[0] == lines[2] and lines[0].endswith(",ok")
+
+
+def test_export_missing_column_or_file_exits_2(snapshot, tmp_path):
+    rc, _ = export_rows(snapshot, tmp_path, "s,x\n0.1,0.5\n")
+    assert rc == 2
+    assert main(["export", "--snapshot", str(snapshot), "--queries",
+                 str(tmp_path / "nosuch.csv"), "--out",
+                 str(tmp_path / "evals.csv")]) == 2
+
+
+@pytest.mark.parametrize("cut", ["tail", "header"])
+def test_export_truncated_snapshot_exits_2(snapshot, tmp_path, cut):
+    data = snapshot.read_bytes()
+    short = tmp_path / "short.cfsk"
+    short.write_bytes(data[:-5] if cut == "tail" else data[:40])
+    with pytest.raises(ConfigError):
+        SkeletonFlow.load(short)
+    queries = tmp_path / "queries.csv"
+    queries.write_text("s,x,t\n0.1,0.5,0.2\n")
+    assert main(["export", "--snapshot", str(short), "--queries",
+                 str(queries), "--out", str(tmp_path / "evals.csv")]) == 2
+
+
+def test_corrupt_snapshot_header_is_config_error(snapshot, tmp_path):
+    data = bytearray(snapshot.read_bytes())
+    data[20] = 0xFF                      # inside the JSON header
+    bad = tmp_path / "bad.cfsk"
+    bad.write_bytes(bytes(data))
+    with pytest.raises(ConfigError):
+        SkeletonFlow.load(bad)
+    assert SkeletonFlow.load(snapshot).n_traj > 0

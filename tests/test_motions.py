@@ -8,7 +8,8 @@ from coalflow.errors import (EmptyStarts, InvalidGap, NegativeDuration,
 from coalflow.motions import (DiffusionSpec, HarrisSpec, SystemState,
                               bridge_cross_probability, collapse_proposals,
                               pair_no_meet_probability_exact,
-                              sample_npoint_motion, scale_function,
+                              propose_harris_step, sample_npoint_motion,
+                              scale_function,
                               step_coalescing_diffusions, step_harris)
 from coalflow.rng import RngStream
 
@@ -264,6 +265,30 @@ def test_harris_increment_correlation_matches_gamma():
             d2.append(new.positions[1] - 5.0)
     corr = np.corrcoef(np.asarray(d1), np.asarray(d2))[0, 1]
     assert abs(corr - math.exp(-5.0)) < 0.01
+
+
+@pytest.mark.parametrize("n", [2, 64, 470])
+def test_harris_recursion_equals_cholesky_factor(n):
+    """The O(n) step applies the lower Cholesky factor of the exponential
+    covariance, drawing exactly n normals per call."""
+    dt = 1e-3
+    rng = np.random.default_rng([31, n])
+    for gamma in (0.5, 1.0, 4.0):
+        spec = HarrisSpec(gamma=gamma)
+        for gaps in (rng.uniform(0.0, 4.0 / n, n - 1),
+                     rng.uniform(0.5e-9, 2e-9, n - 1)):
+            x = rng.uniform(-1.0, 1.0) + np.concatenate(([0.0], np.cumsum(gaps)))
+            assert np.all(np.diff(x) > 0)
+            gen = np.random.Generator(np.random.Philox(n))
+            twin = np.random.Generator(np.random.Philox(n))
+            prop, flags = propose_harris_step(spec, x, dt, gen)
+            z = twin.standard_normal(n)
+            L = np.linalg.cholesky(spec.correlation(x[:, None] - x[None, :]))
+            ref = x + math.sqrt(dt) * (L @ z)
+            assert np.max(np.abs(prop - ref)) < 1e-10
+            d1 = np.diff(ref)
+            assert np.array_equal(flags, (d1 <= 0.0) | (d1 < spec.merge_gap))
+            assert gen.standard_normal() == twin.standard_normal()
 
 
 def test_harris_coalescence_permanence():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coalflow.rng import RngStream, worker_count
+from coalflow.rng import RngStream
 
 
 def test_identical_address_identical_draws():
@@ -37,9 +37,3 @@ def test_seed_and_path_bounds():
     with pytest.raises(ValueError):
         RngStream(0, (2**40,))
 
-
-def test_worker_count_env_override(monkeypatch):
-    monkeypatch.setenv("COALFLOW_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.delenv("COALFLOW_THREADS")
-    assert worker_count() >= 1
