@@ -16,10 +16,9 @@ from .flows import (AnalyticFlow, ConstantFlow, EvalQuery, FlowElement,
                     SkeletonEnvelope, analytic_flow_element, characterize_lt,
                     check_flow_axioms, cocycle, evaluate, range_at, shift,
                     skeleton_flow_element)
-from .motions import (DiffusionSpec, HarrisSpec, SystemState,
-                      bridge_cross_probability, pair_no_meet_probability_exact,
-                      sample_npoint_motion, scale_function,
-                      step_coalescing_diffusions, step_harris)
+from .motions import (DiffusionSpec, HarrisSpec, bridge_cross_probability,
+                      pair_no_meet_probability_exact, sample_npoint_motion,
+                      scale_function, step_system)
 from .rng import RngStream
 from .skeleton import (SkeletonConfig, SkeletonFlow, build_skeleton,
                        check_sp_properties)
@@ -30,10 +29,9 @@ __all__ = [
     "EvalQuery", "FlowElement", "HarrisSpec", "InvalidGap", "InvalidTimePair",
     "NegativeDuration", "NoAnalyticLaw", "NonPositiveDiffusion", "OffGridTime",
     "OutOfHorizon", "RngStream", "SkeletonConfig", "SkeletonEnvelope",
-    "SkeletonFlow", "SystemState", "analytic_flow_element",
+    "SkeletonFlow", "analytic_flow_element",
     "bridge_cross_probability", "build_skeleton", "characterize_lt",
     "check_flow_axioms", "check_sp_properties", "cocycle", "evaluate",
     "pair_no_meet_probability_exact", "range_at", "sample_npoint_motion",
-    "scale_function", "shift", "skeleton_flow_element",
-    "step_coalescing_diffusions", "step_harris",
+    "scale_function", "shift", "skeleton_flow_element", "step_system",
 ]

@@ -13,11 +13,9 @@ axiom must fail on it.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
@@ -439,21 +437,3 @@ def _f4_witness_ok(f: FlowElement, q: EvalQuery) -> bool:
     if np.any(rng_vals == u0):
         return False
     return skel.value(origin, k_t) == value
-
-
-# ---------------------------------------------------------------------------
-# evaluation trace export
-
-
-def export_evaluation_trace(f: FlowElement, queries, path) -> Path:
-    """CSV rows (s, x, t, value, trajectory_id) for plotting trajectory fans."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["s", "x", "t", "value", "trajectory_id"])
-        for (s, x, t) in queries:
-            v, tid = evaluate_with_id(f, EvalQuery(s, x, t))
-            w.writerow([repr(float(s)), repr(float(x)), repr(float(t)),
-                        repr(float(v)), tid])
-    return path

@@ -1,11 +1,12 @@
 """Vectorized Monte Carlo kernels.
 
-The granular SystemState stepper in motions.py owns one system at a time;
-the statistical battery needs 1e5-scale replica counts, so the two-point,
-one-point and cluster-count simulations are vectorized across replicas here.
-Same mathematics as the stepper (Euler step + bridge coalescence test); the
-test suite cross-checks the two code paths against each other and against
-closed forms.
+The coalescing stepper motions.step_system advances one system at a time;
+the statistical battery needs 1e5-scale replica counts, so the two-point
+and one-point simulations are vectorized across replicas here.  Same
+mathematics as the stepper (Euler step + bridge coalescence test); the test
+suite cross-checks the two code paths against each other and against closed
+forms.  The cluster-count sampler loops over replicas through the stepper's
+own proposal and collapse kernels.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import NegativeDuration
-from .motions import DiffusionSpec, collapse_proposals
+from .motions import DiffusionSpec, collapse_proposals, propose_diffusion_step
 from .rng import RngStream
 
 
@@ -25,6 +26,29 @@ def _steps(t: float, dt: float) -> int:
     if n <= 0:
         raise NegativeDuration(f"horizon {t} shorter than dt {dt}")
     return n
+
+
+def _pair_step(spec: DiffusionSpec, p1: np.ndarray, p2: np.ndarray,
+               dt: float, z: np.ndarray, u: np.ndarray, use_bridge: bool):
+    """Euler step of a batch of pairs p1 <= p2 from already drawn normals
+    z (m, 2) and uniforms u (m,); returns (q1, q2, met).  A pair meets on a
+    sign change of the gap or, if use_bridge, with the bridge-law
+    probability under the frozen variance rate b(p1)^2 + b(p2)^2."""
+    b1 = spec.diffusion(p1)
+    b2 = spec.diffusion(p2)
+    sdt = math.sqrt(dt)
+    q1 = p1 + spec.drift(p1) * dt + b1 * sdt * z[:, 0]
+    q2 = p2 + spec.drift(p2) * dt + b2 * sdt * z[:, 1]
+    d0 = p2 - p1
+    d1 = q2 - q1
+    met = d1 <= 0.0
+    if use_bridge:
+        open_pair = ~met & (d0 > 0.0)
+        if np.any(open_pair):
+            rate = b1[open_pair] ** 2 + b2[open_pair] ** 2
+            pc = np.exp(-2.0 * d0[open_pair] * d1[open_pair] / (rate * dt))
+            met[open_pair] = u[open_pair] < pc
+    return q1, q2, met
 
 
 def pair_event_probability(spec: DiffusionSpec, x: float, y: float, t: float,
@@ -54,22 +78,7 @@ def pair_event_probability(spec: DiffusionSpec, x: float, y: float, t: float,
             break
         z = gen.standard_normal((m, 2))
         u = gen.random(m)
-        a1 = spec.drift(p1)
-        a2 = spec.drift(p2)
-        b1 = spec.diffusion(p1)
-        b2 = spec.diffusion(p2)
-        sdt = math.sqrt(dt)
-        q1 = p1 + a1 * dt + b1 * sdt * z[:, 0]
-        q2 = p2 + a2 * dt + b2 * sdt * z[:, 1]
-        d0 = p2 - p1
-        d1 = q2 - q1
-        met = d1 <= 0.0
-        if use_bridge:
-            open_pair = ~met
-            if np.any(open_pair):
-                rate = b1[open_pair] ** 2 + b2[open_pair] ** 2
-                pc = np.exp(-2.0 * d0[open_pair] * d1[open_pair] / (rate * dt))
-                met[open_pair] = u[open_pair] < pc
+        q1, q2, met = _pair_step(spec, p1, p2, dt, z, u, use_bridge)
         keep = ~met
         if box is not None:
             lo, hi = box
@@ -109,27 +118,13 @@ def pair_stopped_paths(spec: DiffusionSpec, x: float, y: float, t: float,
         out[:, 0], out[:, 1] = p1, p2
         col = 2
         cp = cp[1:]
-    sdt = math.sqrt(dt)
     for k in range(1, n_steps + 1):
         active = ~met if stop_at_meeting else np.ones(replicas, dtype=bool)
         if np.any(active):
             z = gen.standard_normal((int(active.sum()), 2))
             u = gen.random(int(active.sum()))
-            a1 = spec.drift(p1[active])
-            a2 = spec.drift(p2[active])
-            b1 = spec.diffusion(p1[active])
-            b2 = spec.diffusion(p2[active])
-            q1 = p1[active] + a1 * dt + b1 * sdt * z[:, 0]
-            q2 = p2[active] + a2 * dt + b2 * sdt * z[:, 1]
-            d0 = p2[active] - p1[active]
-            d1 = q2 - q1
-            hit = d1 <= 0.0
-            if use_bridge:
-                open_pair = ~hit & (d0 > 0.0)
-                if np.any(open_pair):
-                    rate = b1[open_pair] ** 2 + b2[open_pair] ** 2
-                    pc = np.exp(-2.0 * d0[open_pair] * d1[open_pair] / (rate * dt))
-                    hit[open_pair] = u[open_pair] < pc
+            q1, q2, hit = _pair_step(spec, p1[active], p2[active], dt, z, u,
+                                     use_bridge)
             newly = np.zeros(replicas, dtype=bool)
             newly[active] = hit & ~met[active]
             mid = 0.5 * (q1 + q2)
@@ -231,34 +226,15 @@ def cluster_count_sample(spec: DiffusionSpec, starts: np.ndarray,
     n_steps = _steps(duration, dt)
     counts = np.empty(replicas, dtype=np.int64)
     inbox = np.ones(replicas, dtype=bool)
-    sdt = math.sqrt(dt)
     for r in range(replicas):
         gen = rng.child(r).generator()
         pos = np.unique(starts)
         ok = True
         for _ in range(n_steps):
-            n = pos.size
-            a = spec.drift(pos)
-            b = spec.diffusion(pos)
-            z = gen.standard_normal(n)
-            prop = pos + a * dt + b * sdt * z
-            if n > 1 and detection != "off":
-                d0 = np.diff(pos)
-                d1 = np.diff(prop)
-                flags = d1 <= 0.0
-                if detection == "bridge":
-                    open_pair = ~flags
-                    if np.any(open_pair):
-                        rate = b[:-1] ** 2 + b[1:] ** 2
-                        pc = np.exp(-2.0 * d0[open_pair] * d1[open_pair]
-                                    / (rate[open_pair] * dt))
-                        uu = gen.random(int(open_pair.sum()))
-                        flags = flags.copy()
-                        flags[open_pair] = uu < pc
-                if np.any(flags):
-                    pos, _, _ = collapse_proposals(prop, flags)
-                else:
-                    pos = prop
+            prop, flags = propose_diffusion_step(
+                spec, pos, 0.0, dt, gen, use_bridge=detection == "bridge")
+            if detection != "off" and flags.any():
+                pos, _, _ = collapse_proposals(prop, flags)
             else:
                 pos = prop
             if box is not None and ok:

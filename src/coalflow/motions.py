@@ -14,7 +14,7 @@ constant-coefficient models and to O(dt) for the rest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -178,58 +178,6 @@ def bridge_cross_probability(d0: float, d1: float, dt: float,
 
 
 # ---------------------------------------------------------------------------
-# system state
-
-
-@dataclass
-class SystemState:
-    """Time-stamped sorted cluster positions plus the particle partition.
-
-    positions holds one strictly increasing entry per live cluster; reps[i]
-    is the cluster id (smallest member particle index) of positions[i];
-    cluster_of maps each original particle to its cluster id.  merge_log is
-    append-only: once merged, clusters never split.
-    """
-
-    time: float
-    positions: np.ndarray
-    reps: np.ndarray
-    cluster_of: np.ndarray
-    merge_log: list = field(default_factory=list)
-
-    @staticmethod
-    def from_starts(starts: Sequence[float], time: float = 0.0) -> "SystemState":
-        starts = np.asarray(starts, dtype=float)
-        if starts.size == 0:
-            raise EmptyStarts("need at least one starting point")
-        if np.any(np.diff(starts) < 0):
-            raise ValueError("starts must be sorted nondecreasing")
-        positions, first_idx, inverse = np.unique(
-            starts, return_index=True, return_inverse=True)
-        reps = first_idx.astype(np.int64)
-        cluster_of = reps[inverse]
-        return SystemState(time=float(time), positions=positions,
-                           reps=reps, cluster_of=cluster_of)
-
-    @property
-    def n_clusters(self) -> int:
-        return int(self.positions.size)
-
-    def validate(self) -> None:
-        if np.any(np.diff(self.positions) <= 0):
-            raise ValueError("cluster positions must be strictly increasing")
-        if self.positions.size != self.reps.size:
-            raise ValueError("positions/reps length mismatch")
-        if not np.all(np.isin(self.cluster_of, self.reps)):
-            raise ValueError("cluster_of refers to a dead cluster")
-
-    def position_of_particle(self, particle: int) -> float:
-        rep = self.cluster_of[particle]
-        idx = int(np.nonzero(self.reps == rep)[0][0])
-        return float(self.positions[idx])
-
-
-# ---------------------------------------------------------------------------
 # stepping kernel
 
 
@@ -361,76 +309,42 @@ def propose_harris_step(spec: HarrisSpec, positions: np.ndarray, dt: float,
     return prop, flags
 
 
-def _apply_groups(state: SystemState, new_pos: np.ndarray, starts: np.ndarray,
-                  counts: np.ndarray, new_time: float) -> SystemState:
-    reps = state.reps
-    if starts.size == reps.size:
-        return SystemState(time=new_time, positions=new_pos, reps=reps.copy(),
-                           cluster_of=state.cluster_of.copy(),
-                           merge_log=list(state.merge_log))
-    new_reps = np.empty(starts.size, dtype=np.int64)
-    log = list(state.merge_log)
-    remap = {}
-    for gi in range(starts.size):
-        s, c = int(starts[gi]), int(counts[gi])
-        members = reps[s:s + c]
-        keep = int(members.min())
-        new_reps[gi] = keep
-        for r in members:
-            if int(r) != keep:
-                remap[int(r)] = keep
-                log.append((keep, int(r), new_time))
-    cluster_of = state.cluster_of.copy()
-    if remap:
-        for old, new in remap.items():
-            cluster_of[cluster_of == old] = new
-    return SystemState(time=new_time, positions=new_pos, reps=new_reps,
-                       cluster_of=cluster_of, merge_log=log)
+def step_system(model: MotionModel, positions: np.ndarray, time: float,
+                dt: float, gen: np.random.Generator):
+    """One step of the coalescing motion on strictly increasing cluster
+    positions: the model's proposal step, then collapse_proposals.
 
-
-def step_coalescing_diffusions(spec: DiffusionSpec, state: SystemState,
-                               dt: float, rng_or_gen) -> SystemState:
-    """Advance every cluster by one Euler step with independent noise and
-    resolve within-step coalescence for adjacent pairs."""
-    if dt <= 0:
-        raise NegativeDuration(f"dt = {dt}")
-    gen = rng_or_gen.generator() if isinstance(rng_or_gen, RngStream) else rng_or_gen
-    prop, flags = propose_diffusion_step(spec, state.positions, state.time, dt, gen)
-    new_pos, starts, counts = collapse_proposals(prop, flags)
-    return _apply_groups(state, new_pos, starts, counts, state.time + dt)
-
-
-def step_harris(spec: HarrisSpec, state: SystemState, dt: float,
-                rng_or_gen) -> SystemState:
-    if dt <= 0:
-        raise NegativeDuration(f"dt = {dt}")
-    gen = rng_or_gen.generator() if isinstance(rng_or_gen, RngStream) else rng_or_gen
-    prop, flags = propose_harris_step(spec, state.positions, dt, gen)
-    new_pos, starts, counts = collapse_proposals(prop, flags)
-    return _apply_groups(state, new_pos, starts, counts, state.time + dt)
-
-
-def step_system(model: MotionModel, state: SystemState, dt: float,
-                gen) -> SystemState:
+    Returns (positions, starts, counts) as collapse_proposals does; the
+    skeleton builder runs the same two kernels on the same draws.
+    """
     if isinstance(model, HarrisSpec):
-        return step_harris(model, state, dt, gen)
-    return step_coalescing_diffusions(model, state, dt, gen)
+        prop, flags = propose_harris_step(model, positions, dt, gen)
+    else:
+        prop, flags = propose_diffusion_step(model, positions, time, dt, gen)
+    return collapse_proposals(prop, flags)
 
 
 def sample_npoint_motion(model: MotionModel, starts: Sequence[float],
                          horizon: float, dt: float,
-                         rng: RngStream) -> list:
-    """Full discrete-time trajectory of the n-point motion from sorted
-    starts; duplicates occupy one cluster from time zero."""
-    if len(starts) == 0:
+                         rng: RngStream) -> np.ndarray:
+    """Discrete-time paths of the n-point motion from sorted starts, as an
+    (n_steps + 1, len(starts)) array of per-particle positions; duplicate
+    starts occupy one cluster from time zero, and merged particles share
+    one value from the step they meet on."""
+    starts = np.asarray(starts, dtype=float)
+    if starts.size == 0:
         raise EmptyStarts("no starting points")
+    if np.any(np.diff(starts) < 0):
+        raise ValueError("starts must be sorted nondecreasing")
     if dt <= 0 or horizon < 0:
         raise NegativeDuration("need dt > 0 and horizon >= 0")
     gen = rng.generator()
-    state = SystemState.from_starts(starts)
-    path = [state]
     n_steps = int(round(horizon / dt))
-    for _ in range(n_steps):
-        state = step_system(model, state, dt, gen)
-        path.append(state)
+    pos, label = np.unique(starts, return_inverse=True)
+    path = np.empty((n_steps + 1, starts.size), dtype=float)
+    path[0] = pos[label]
+    for k in range(n_steps):
+        pos, _, counts = step_system(model, pos, k * dt, dt, gen)
+        label = np.repeat(np.arange(counts.size), counts)[label]
+        path[k + 1] = pos[label]
     return path

@@ -48,15 +48,15 @@ def _pairwise_block(a: np.ndarray, b: np.ndarray, block: int = 2048) -> np.ndarr
     return out
 
 
-def _energy_from_sums(D: np.ndarray, mask_a: np.ndarray) -> float:
+def _energy_from_sums(D: np.ndarray, mask_a: np.ndarray, total: float) -> float:
     """Energy statistic 2 E|X-Y| - E|X-X'| - E|Y-Y'| from a combined distance
-    matrix and a boolean first-sample membership mask."""
+    matrix, its total float(D.sum()) and a boolean first-sample membership
+    mask."""
     n = int(mask_a.sum())
     m = mask_a.size - n
     row_a = D @ mask_a.astype(np.float32)         # sum over columns in A
     s_aa = float(row_a[mask_a].sum())
     s_ab = float(row_a[~mask_a].sum())
-    total = float(D.sum())
     s_bb = total - s_aa - 2.0 * s_ab
     return 2.0 * s_ab / (n * m) - s_aa / (n * n) - s_bb / (m * m)
 
@@ -79,14 +79,15 @@ def energy_two_sample(a: np.ndarray, b: np.ndarray, rng: RngStream,
     D = _pairwise_block(combined, combined)
     mask = np.zeros(combined.shape[0], dtype=bool)
     mask[:n] = True
-    observed = _energy_from_sums(D, mask)
+    total = float(D.sum())
+    observed = _energy_from_sums(D, mask, total)
     gen = rng.generator()
     geq = 0
     for _ in range(permutations):
         perm = gen.permutation(combined.shape[0])
         pm = np.zeros_like(mask)
         pm[perm[:n]] = True
-        if _energy_from_sums(D, pm) >= observed:
+        if _energy_from_sums(D, pm, total) >= observed:
             geq += 1
     pvalue = (1.0 + geq) / (permutations + 1.0)
     return observed, pvalue

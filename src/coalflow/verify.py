@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import kernels
 from .errors import NoAnalyticLaw
 from .flows import EvalQuery, evaluate, shift, skeleton_flow_element
-from .motions import DiffusionSpec, SystemState, scale_function, step_system
+from .motions import DiffusionSpec, scale_function, step_system
 from .reports import TestReport, bound_report, pvalue_report
 from .rng import RngStream
 from .skeleton import SkeletonConfig, build_skeleton, cluster_count_bound
@@ -251,33 +251,25 @@ def test_small_time_continuity(spec: DiffusionSpec, u: float, eps: float,
 def _production_stopped_paths(spec: DiffusionSpec, starts, t: float,
                               dt: float, replicas: int, rng: RngStream,
                               checkpoint_steps) -> np.ndarray:
-    """Paths of the coalescing sampler stopped at the first merge, recorded
-    through the SystemState stepper (the production machinery)."""
-    n = len(starts)
+    """Pair paths of the coalescing sampler stopped at the first merge,
+    stepped by step_system (the production machinery)."""
     cps = sorted(checkpoint_steps)
     n_steps = int(round(t / dt))
-    out = np.empty((replicas, n * len(cps) + 1), dtype=float)
+    out = np.empty((replicas, 2 * len(cps) + 1), dtype=float)
     for r in range(replicas):
         gen = rng.child(r).generator()
-        state = SystemState.from_starts(starts)
-        frozen: Optional[np.ndarray] = None
+        pos = np.asarray(starts, dtype=float)
         meet_time = float(t)
         row = []
         cp_iter = list(cps)
         for k in range(1, n_steps + 1):
-            if frozen is None:
-                state = step_system(spec, state, dt, gen)
-                if state.n_clusters < n:
-                    # stopped at the first meeting: freeze per-particle values
-                    frozen = np.array([state.position_of_particle(i)
-                                       for i in range(n)])
+            if pos.size == 2:
+                pos, _, _ = step_system(spec, pos, (k - 1) * dt, dt, gen)
+                if pos.size < 2:
                     meet_time = k * dt
             while cp_iter and k == cp_iter[0]:
-                if frozen is None:
-                    vals = [state.position_of_particle(i) for i in range(n)]
-                else:
-                    vals = frozen.tolist()
-                row.extend(vals)
+                # a merged pair reports its one position for both particles
+                row.extend(np.broadcast_to(pos, 2).tolist())
                 cp_iter = cp_iter[1:]
         row.append(meet_time)
         out[r] = row
@@ -293,25 +285,21 @@ def test_stopped_equivalence(spec: DiffusionSpec, starts, t: float,
     stopped paths and independently simulated paths stopped by the same
     bridge rule."""
     starts = sorted(starts)
-    n = len(starts)
-    if n < 2 or starts[0] == starts[-1]:
+    if len(starts) < 2 or starts[0] == starts[-1]:
         return TestReport(
             name="stopped_equivalence", statistic=0.0, reference=alpha,
             replicas=replicas, passed=True, rule="degenerate, identical by construction",
             notes=f"starts={starts}")
+    if len(starts) > 2:
+        raise ValueError(f"stopped equivalence is a pair test; got starts={starts}")
     n_steps = int(round(t / dt))
     cps = sorted({max(1, (i + 1) * n_steps // n_checkpoints)
                   for i in range(n_checkpoints)})
     prod = _production_stopped_paths(spec, starts, t, dt, replicas,
                                      rng.child(0), cps)
-    if n == 2:
-        orac = kernels.pair_stopped_paths(
-            spec, starts[0], starts[1], t, dt, replicas, rng.child(1), cps,
-            stop_at_meeting=not hostile_no_stop)
-    else:
-        orac = _independent_stopped_paths(spec, starts, t, dt, replicas,
-                                          rng.child(1), cps,
-                                          stop=not hostile_no_stop)
+    orac = kernels.pair_stopped_paths(
+        spec, starts[0], starts[1], t, dt, replicas, rng.child(1), cps,
+        stop_at_meeting=not hostile_no_stop)
     stat, p = energy_two_sample(prod, orac, rng.child(2),
                                 permutations=permutations)
     notes = (f"starts={starts}, t={t}, dt={dt}, {n_checkpoints} checkpoints "
@@ -320,54 +308,6 @@ def test_stopped_equivalence(spec: DiffusionSpec, starts, t: float,
         notes += "; oracle does not stop at meeting (hostile fixture)"
     return pvalue_report("stopped_equivalence", stat, p, alpha, replicas,
                          notes=notes)
-
-
-def _independent_stopped_paths(spec, starts, t, dt, replicas, rng, cps,
-                               stop=True):
-    """n independent diffusions with the coalescing sampler's bridge rule as
-    the stopping detector; stop=False keeps paths moving after the meeting
-    (hostile fixture)."""
-    n = len(starts)
-    n_steps = int(round(t / dt))
-    out = np.empty((replicas, n * len(cps) + 1), dtype=float)
-    sdt = math.sqrt(dt)
-    for r in range(replicas):
-        gen = rng.child(r).generator()
-        pos = np.asarray(starts, dtype=float)
-        met = False
-        meet_time = float(t)
-        row = []
-        cp_iter = list(cps)
-        for k in range(1, n_steps + 1):
-            if not met or not stop:
-                z = gen.standard_normal(n)
-                u = gen.random(n - 1)
-                prop = pos + spec.drift(pos) * dt + spec.diffusion(pos) * sdt * z
-                if not met:
-                    d0 = np.diff(pos)
-                    d1 = np.diff(prop)
-                    hit = d1 <= 0.0
-                    open_pair = ~hit & (d0 > 0)
-                    if np.any(open_pair):
-                        bb = spec.diffusion(pos)
-                        rate = bb[:-1] ** 2 + bb[1:] ** 2
-                        pc = np.exp(-2.0 * d0[open_pair] * d1[open_pair]
-                                    / (rate[open_pair] * dt))
-                        hit[open_pair] = u[open_pair] < pc
-                    if np.any(hit):
-                        met = True
-                        meet_time = k * dt
-                        if stop:
-                            j = int(np.argmax(hit))
-                            mid = 0.5 * (prop[j] + prop[j + 1])
-                            prop[j] = prop[j + 1] = mid
-                pos = prop
-            while cp_iter and k == cp_iter[0]:
-                row.extend(pos.tolist())
-                cp_iter = cp_iter[1:]
-        row.append(meet_time)
-        out[r] = row
-    return out
 
 
 def shift_invariance_config(model, window, dx, t0, t1, dt, row_period,

@@ -8,9 +8,8 @@ from coalflow.errors import AboveRange
 from coalflow.flows import (AnalyticFlow, AxiomPlan, ConstantFlow, EvalQuery,
                             FlowElement, analytic_flow_element,
                             characterize_lt, check_flow_axioms, cocycle,
-                            evaluate, export_evaluation_trace,
-                            find_lt_witness, is_fresh, range_at, shift,
-                            skeleton_flow_element)
+                            evaluate, find_lt_witness, is_fresh, range_at,
+                            shift, skeleton_flow_element)
 from coalflow.motions import DiffusionSpec
 from coalflow.rng import RngStream
 from coalflow.skeleton import SkeletonConfig, build_skeleton
@@ -212,16 +211,3 @@ def test_characterize_agrees_with_evaluate_off_rows(skel_flow):
 def test_characterize_infinity_sentinel(skel_flow):
     q = EvalQuery(0.262, -3.0, 0.5)
     assert characterize_lt(skel_flow, q, math.inf)
-
-
-# ---------------------------------------------------------------------------
-# trace export
-
-
-def test_export_trace(tmp_path, skel_flow):
-    path = tmp_path / "trace.csv"
-    queries = [(0.25, 0.3, 0.5), (0.25, 0.5, 0.6)]
-    export_evaluation_trace(skel_flow, queries, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "s,x,t,value,trajectory_id"
-    assert len(lines) == 3

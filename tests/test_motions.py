@@ -2,16 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from coalflow.errors import (EmptyStarts, InvalidGap, NegativeDuration,
                              NonPositiveDiffusion)
-from coalflow.motions import (DiffusionSpec, HarrisSpec, SystemState,
+from coalflow.motions import (DiffusionSpec, HarrisSpec,
                               bridge_cross_probability, collapse_proposals,
                               pair_no_meet_probability_exact,
                               propose_harris_step, sample_npoint_motion,
-                              scale_function,
-                              step_coalescing_diffusions, step_harris)
+                              scale_function, step_system)
 from coalflow.rng import RngStream
+from coalflow.skeleton import SkeletonConfig, build_skeleton
 
 # Independent quadrature oracle (fine-grid Simpson, run before the build):
 # int_0^1 exp(y^2) dy
@@ -124,22 +126,31 @@ def test_bridge_formula_vs_fine_subdivision_monte_carlo():
 
 
 # ---------------------------------------------------------------------------
-# system state and stepping
+# coalescing stepper and n-point sampler
+
+
+def _merges_are_permanent(path: np.ndarray) -> bool:
+    """Columns (particles) that are equal at one step stay equal after it."""
+    eq = path[:, :, None] == path[:, None, :]
+    return bool(np.all(eq[1:] >= eq[:-1]))
 
 
 def test_from_starts_merges_duplicates():
-    st = SystemState.from_starts([0.0, 0.0, 1.0])
-    assert st.n_clusters == 2
-    assert st.cluster_of[0] == st.cluster_of[1] == 0
-    assert st.cluster_of[2] == 2
-    st.validate()
+    path = sample_npoint_motion(DiffusionSpec.arratia(), [0.0, 0.0, 1.0],
+                                0.0, 1e-3, RngStream(0))
+    assert path.shape == (1, 3)
+    assert path[0].tolist() == [0.0, 0.0, 1.0]
+    assert np.unique(path[0]).size == 2
 
 
 def test_from_starts_requires_sorted():
+    spec = DiffusionSpec.arratia()
     with pytest.raises(ValueError):
-        SystemState.from_starts([1.0, 0.0])
+        sample_npoint_motion(spec, [1.0, 0.0], 0.1, 1e-3, RngStream(0))
     with pytest.raises(EmptyStarts):
-        SystemState.from_starts([])
+        sample_npoint_motion(spec, [], 0.1, 1e-3, RngStream(0))
+    with pytest.raises(NegativeDuration):
+        sample_npoint_motion(spec, [0.0], 0.1, 0.0, RngStream(0))
 
 
 def test_collapse_proposals_groups_and_cascade():
@@ -155,27 +166,53 @@ def test_collapse_proposals_groups_and_cascade():
     assert np.all(np.diff(pos) > 0)
 
 
+@st.composite
+def _proposals_and_flags(draw):
+    n = draw(st.integers(min_value=1, max_value=40))
+    prop = np.array(draw(st.lists(
+        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+        min_size=n, max_size=n)))
+    flags = np.array(draw(st.lists(st.booleans(), min_size=n - 1,
+                                   max_size=n - 1)), dtype=bool)
+    # every step kernel flags a sign change, so callers never pass an
+    # unflagged pair that is out of order
+    return prop, flags | (np.diff(prop) <= 0.0)
+
+
+@given(_proposals_and_flags())
+def test_collapse_proposals_invariants(case):
+    prop, flags = case
+    pos, starts, counts = collapse_proposals(prop, flags)
+    assert np.all(np.diff(pos) > 0)
+    assert pos.size == starts.size == counts.size
+    assert starts[0] == 0 and np.all(counts > 0)
+    assert np.array_equal(starts[1:], np.cumsum(counts)[:-1])
+    assert counts.sum() == prop.size
+    group = np.repeat(np.arange(counts.size), counts)
+    assert np.all(group[:-1][flags] == group[1:][flags])
+
+
 def test_step_preserves_order_and_permanence():
     spec = DiffusionSpec.arratia()
     gen = RngStream(5, (1,)).generator()
-    st = SystemState.from_starts(np.linspace(0, 1, 33).tolist())
-    seen_pairs = set()
-    for _ in range(400):
-        st = step_coalescing_diffusions(spec, st, 1e-3, gen)
-        assert np.all(np.diff(st.positions) > 0)
-        merged_now = {(a, b) for a, b, _ in st.merge_log}
-        assert seen_pairs <= merged_now  # append-only
-        seen_pairs = merged_now
-    assert st.n_clusters < 33  # coalescence happened
-    st.validate()
+    pos = np.linspace(0, 1, 33)
+    label = np.arange(33)
+    for k in range(400):
+        pos, _, counts = step_system(spec, pos, k * 1e-3, 1e-3, gen)
+        assert np.all(np.diff(pos) > 0)
+        label = np.repeat(np.arange(counts.size), counts)[label]
+    assert pos.size < 33  # coalescence happened
+    path = sample_npoint_motion(spec, np.linspace(0, 1, 33), 0.4, 1e-3,
+                                RngStream(5, (1,)))
+    assert np.array_equal(path[-1], pos[label])
+    assert np.all(np.diff(path, axis=1) >= 0)
+    assert _merges_are_permanent(path)
 
 
 def test_tp3_duplicates_stay_one_cluster():
     spec = DiffusionSpec.arratia()
     path = sample_npoint_motion(spec, [0.5, 0.5], 0.2, 1e-3, RngStream(9))
-    for st in path:
-        assert st.n_clusters == 1
-        assert st.cluster_of[0] == st.cluster_of[1]
+    assert np.array_equal(path[:, 0], path[:, 1])
 
 
 def test_single_cluster_marginal_mean():
@@ -183,10 +220,10 @@ def test_single_cluster_marginal_mean():
     gen = RngStream(31, (0,)).generator()
     ends = []
     for r in range(2000):
-        st = SystemState.from_starts([0.0])
-        for _ in range(20):
-            st = step_coalescing_diffusions(spec, st, 0.05, gen)
-        ends.append(st.positions[0])
+        pos = np.array([0.0])
+        for k in range(20):
+            pos, _, _ = step_system(spec, pos, k * 0.05, 0.05, gen)
+        ends.append(pos[0])
     ends = np.asarray(ends)
     assert abs(ends.mean()) < 3 / math.sqrt(len(ends))
     assert ends.var() == pytest.approx(1.0, abs=0.1)
@@ -197,11 +234,11 @@ def test_two_cluster_no_meet_frequency_matches_erf():
     R = 4000
     alive = 0
     for r in range(R):
-        st = SystemState.from_starts([0.0, 1.0])
+        pos = np.array([0.0, 1.0])
         gen = RngStream(63, (r,)).generator()
-        for _ in range(100):
-            st = step_coalescing_diffusions(spec, st, 1e-2, gen)
-        alive += st.n_clusters == 2
+        for k in range(100):
+            pos, _, _ = step_system(spec, pos, k * 1e-2, 1e-2, gen)
+        alive += pos.size == 2
     est = alive / R
     ref = pair_no_meet_probability_exact(0.0, 1.0, 1.0)
     se = math.sqrt(ref * (1 - ref) / R)
@@ -215,7 +252,7 @@ def test_one_point_sampler_endpoint_ks():
     for r in range(1200):
         path = sample_npoint_motion(spec, [0.0], 1.0, 2e-3,
                                     RngStream(71, (r,)))
-        ends.append(path[-1].positions[0])
+        ends.append(path[-1, 0])
     _, p = ks_against_normal(np.asarray(ends), 0.0, 1.0)
     assert p > 0.01
 
@@ -224,10 +261,27 @@ def test_determinism_bit_identical():
     spec = DiffusionSpec.ornstein_uhlenbeck(1.0, 1.0)
     p1 = sample_npoint_motion(spec, [0.0, 0.3, 0.9], 0.3, 1e-3, RngStream(4, (2,)))
     p2 = sample_npoint_motion(spec, [0.0, 0.3, 0.9], 0.3, 1e-3, RngStream(4, (2,)))
-    assert len(p1) == len(p2)
-    for a, b in zip(p1, p2):
-        assert np.array_equal(a.positions, b.positions)
-        assert a.merge_log == b.merge_log
+    assert p1.shape == (301, 3)
+    assert np.array_equal(p1, p2)
+    assert _merges_are_permanent(p1)
+
+
+@pytest.mark.parametrize("model", [
+    DiffusionSpec.arratia(), DiffusionSpec.ornstein_uhlenbeck(1.0, 2.0),
+    HarrisSpec(gamma=1.0)], ids=["arratia", "ou", "harris"])
+def test_npoint_sampler_equals_one_row_skeleton(model):
+    """The n-point sampler and a one-row skeleton run the same kernels on
+    the same stream, so every particle agrees at every step."""
+    cfg = SkeletonConfig(window=(0.0, 1.0), dx=1.0 / 32, t0=0.0, t1=0.3,
+                         dt=1e-3, start_times=(0.0,), model=model)
+    skel = build_skeleton(cfg, RngStream(5, (1,)))
+    path = sample_npoint_motion(model, cfg.lattice(), 0.3, 1e-3,
+                                RngStream(5, (1,)))
+    assert path.shape == (cfg.n_steps + 1, skel.n_traj)
+    ref = np.array([[skel.value(i, k) for i in range(skel.n_traj)]
+                    for k in range(cfg.n_steps + 1)])
+    assert np.array_equal(path, ref)
+    assert np.unique(path[-1]).size < skel.n_traj
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +297,12 @@ def test_harris_spec_validates():
 def test_harris_single_cluster_is_standard_brownian():
     spec = HarrisSpec(gamma=1.0)
     gen = RngStream(8, (0,)).generator()
-    st = SystemState.from_starts([0.3])
+    pos = np.array([0.3])
     incs = []
-    for _ in range(4000):
-        new = step_harris(spec, st, 1e-3, gen)
-        incs.append(new.positions[0] - st.positions[0])
-        st = new
+    for k in range(4000):
+        new, _, _ = step_system(spec, pos, k * 1e-3, 1e-3, gen)
+        incs.append(new[0] - pos[0])
+        pos = new
     incs = np.asarray(incs)
     assert incs.var() == pytest.approx(1e-3, rel=0.15)
 
@@ -256,13 +310,13 @@ def test_harris_single_cluster_is_standard_brownian():
 def test_harris_increment_correlation_matches_gamma():
     spec = HarrisSpec(gamma=1.0)
     gen = RngStream(8, (1,)).generator()
-    base = SystemState.from_starts([0.0, 5.0])
+    base = np.array([0.0, 5.0])
     d1, d2 = [], []
     for _ in range(100000):
-        new = step_harris(spec, base, 1e-3, gen)
-        if new.n_clusters == 2:
-            d1.append(new.positions[0] - 0.0)
-            d2.append(new.positions[1] - 5.0)
+        new, _, _ = step_system(spec, base, 0.0, 1e-3, gen)
+        if new.size == 2:
+            d1.append(new[0] - 0.0)
+            d2.append(new[1] - 5.0)
     corr = np.corrcoef(np.asarray(d1), np.asarray(d2))[0, 1]
     assert abs(corr - math.exp(-5.0)) < 0.01
 
@@ -294,11 +348,11 @@ def test_harris_recursion_equals_cholesky_factor(n):
 def test_harris_coalescence_permanence():
     spec = HarrisSpec(gamma=2.0, merge_gap=1e-6)
     gen = RngStream(8, (2,)).generator()
-    st = SystemState.from_starts([0.0, 0.02, 0.04, 0.06])
-    for _ in range(2000):
-        st = step_harris(spec, st, 1e-3, gen)
-        assert np.all(np.diff(st.positions) > 0)
-    assert st.n_clusters < 4
+    pos = np.array([0.0, 0.02, 0.04, 0.06])
+    for k in range(2000):
+        pos, _, _ = step_system(spec, pos, k * 1e-3, 1e-3, gen)
+        assert np.all(np.diff(pos) > 0)
+    assert pos.size < 4
 
 
 # ---------------------------------------------------------------------------
@@ -312,16 +366,10 @@ def test_projection_consistency_endpoint_law():
     trip = np.empty((R, 2))
     pair = np.empty((R, 2))
     for r in range(R):
-        g3 = RngStream(101, (0, r)).generator()
-        st3 = SystemState.from_starts([0.0, 0.5, 1.0])
-        for _ in range(50):
-            st3 = step_coalescing_diffusions(spec, st3, 0.02, g3)
-        trip[r] = [st3.position_of_particle(0), st3.position_of_particle(1)]
-        g2 = RngStream(101, (1, r)).generator()
-        st2 = SystemState.from_starts([0.0, 0.5])
-        for _ in range(50):
-            st2 = step_coalescing_diffusions(spec, st2, 0.02, g2)
-        pair[r] = [st2.position_of_particle(0), st2.position_of_particle(1)]
+        trip[r] = sample_npoint_motion(spec, [0.0, 0.5, 1.0], 1.0, 0.02,
+                                       RngStream(101, (0, r)))[-1, :2]
+        pair[r] = sample_npoint_motion(spec, [0.0, 0.5], 1.0, 0.02,
+                                       RngStream(101, (1, r)))[-1]
     alpha = 0.01 / 3
     for col in range(2):
         _, p = ks_two_sample(trip[:, col], pair[:, col])

@@ -126,6 +126,13 @@ def test_stopped_equivalence_degenerate():
     assert r.passed
 
 
+def test_stopped_equivalence_rejects_three_starts():
+    with pytest.raises(ValueError):
+        verify.test_stopped_equivalence(
+            DiffusionSpec.arratia(), (0.0, 0.5, 1.0), 1.0, 10,
+            RngStream(7, (3,)))
+
+
 def test_shift_invariance_small_and_control():
     from coalflow.bundles import SHIFT_QUERIES
     queries = SHIFT_QUERIES[:3]
