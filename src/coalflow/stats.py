@@ -2,8 +2,23 @@
 
 KS tests come from scipy; the multivariate energy-distance two-sample test
 and the distance-correlation independence test are permutation tests over a
-precomputed pairwise distance matrix (float32, blockwise) since scipy has no
-multivariate versions.
+precomputed float32 pairwise distance matrix, since scipy has no
+multivariate versions.  Neither gathers nor rescans a whole matrix per
+permutation:
+
+* energy: the observed split and every permuted split are the rows of one
+  float32 membership-mask block, so one GEMM ``D @ masks.T`` gives every
+  split's within-A row sums, and s_AA, s_AB and s_BB follow from them in
+  float64;
+* dcor: x's distance matrix is double-centred once, and since its row and
+  column sums vanish, sum_ij A_ij B_{p_i p_j} equals sum_ij A_ij Dy_{p_i p_j}
+  with y's raw distance matrix Dy.  Each permutation (and the observed
+  statistic, at the identity) is scored over triangular row blocks: the
+  rows p[lo:hi] and columns p[lo:] of Dy against A's upper triangle, so
+  each permutation gathers about half of Dy, in cache-sized pieces.
+
+Both draw one ``permutation`` per permuted statistic, in order, from the
+generator of the given stream.
 """
 
 from __future__ import annotations
@@ -14,6 +29,9 @@ import numpy as np
 from scipy import stats as sps
 
 from .rng import RngStream
+
+# rows per block of the dcor permutation scores
+DCOR_BLOCK = 64
 
 
 def ks_two_sample(a: np.ndarray, b: np.ndarray):
@@ -48,19 +66,6 @@ def _pairwise_block(a: np.ndarray, b: np.ndarray, block: int = 2048) -> np.ndarr
     return out
 
 
-def _energy_from_sums(D: np.ndarray, mask_a: np.ndarray, total: float) -> float:
-    """Energy statistic 2 E|X-Y| - E|X-X'| - E|Y-Y'| from a combined distance
-    matrix, its total float(D.sum()) and a boolean first-sample membership
-    mask."""
-    n = int(mask_a.sum())
-    m = mask_a.size - n
-    row_a = D @ mask_a.astype(np.float32)         # sum over columns in A
-    s_aa = float(row_a[mask_a].sum())
-    s_ab = float(row_a[~mask_a].sum())
-    s_bb = total - s_aa - 2.0 * s_ab
-    return 2.0 * s_ab / (n * m) - s_aa / (n * n) - s_bb / (m * m)
-
-
 def energy_two_sample(a: np.ndarray, b: np.ndarray, rng: RngStream,
                       permutations: int = 199):
     """Permutation two-sample energy test; returns (statistic, p_value).
@@ -75,22 +80,22 @@ def energy_two_sample(a: np.ndarray, b: np.ndarray, rng: RngStream,
     if b.ndim == 1:
         b = b[:, None]
     combined = np.vstack([a, b])
-    n = a.shape[0]
+    N, n = combined.shape[0], a.shape[0]
+    m = N - n
     D = _pairwise_block(combined, combined)
-    mask = np.zeros(combined.shape[0], dtype=bool)
-    mask[:n] = True
-    total = float(D.sum())
-    observed = _energy_from_sums(D, mask, total)
+    # row 0 is the observed split, row k the k-th permuted one
+    masks = np.zeros((permutations + 1, N), dtype=np.float32)
+    masks[0, :n] = 1.0
     gen = rng.generator()
-    geq = 0
-    for _ in range(permutations):
-        perm = gen.permutation(combined.shape[0])
-        pm = np.zeros_like(mask)
-        pm[perm[:n]] = True
-        if _energy_from_sums(D, pm, total) >= observed:
-            geq += 1
-    pvalue = (1.0 + geq) / (permutations + 1.0)
-    return observed, pvalue
+    for row in masks[1:]:
+        row[gen.permutation(N)[:n]] = 1.0
+    row_a = D @ masks.T                 # row_a[i, k]: sum of D[i, j] over j in A_k
+    s_aa = np.einsum("ik,ki->k", row_a, masks, dtype=np.float64)
+    s_ab = row_a.sum(axis=0, dtype=np.float64) - s_aa
+    s_bb = D.sum(dtype=np.float64) - s_aa - 2.0 * s_ab
+    energy = 2.0 * s_ab / (n * m) - s_aa / (n * n) - s_bb / (m * m)
+    geq = int(np.count_nonzero(energy[1:] >= energy[0]))
+    return float(energy[0]), (1.0 + geq) / (permutations + 1.0)
 
 
 def _center(D: np.ndarray) -> np.ndarray:
@@ -99,34 +104,57 @@ def _center(D: np.ndarray) -> np.ndarray:
     return D - rm - cm + D.mean()
 
 
-def distance_correlation(x: np.ndarray, y: np.ndarray) -> float:
+def _dcor_setup(x: np.ndarray, y: np.ndarray):
+    """(blocks, Dy, scale) for the distance correlation of x and y.
+
+    Dy is y's float32 distance matrix.  blocks holds, for each run of
+    DCOR_BLOCK rows [lo, hi), the float32 weights W = A[lo:hi, lo:] of x's
+    double-centred distance matrix A, doubled off the diagonal block, so that
+    _dcov_sum gives sum_ij A_ij Dy[p_i, p_j] from the upper triangle alone.
+    scale = n^2 sqrt(dVar^2(x) dVar^2(y)) turns that sum into dCor^2.
+    """
     x = np.asarray(x, dtype=float).reshape(len(x), -1)
     y = np.asarray(y, dtype=float).reshape(len(y), -1)
+    n = len(y)
     A = _center(_pairwise_block(x, x).astype(np.float64))
-    B = _center(_pairwise_block(y, y).astype(np.float64))
-    dcov2 = (A * B).mean()
-    dvar_x = (A * A).mean()
-    dvar_y = (B * B).mean()
-    if dvar_x <= 0 or dvar_y <= 0:
-        return 0.0
-    return float(math.sqrt(max(dcov2, 0.0) / math.sqrt(dvar_x * dvar_y)))
+    Dy = _pairwise_block(y, y)
+    B = _center(Dy.astype(np.float64))
+    dvar = math.sqrt(max((A * A).mean() * (B * B).mean(), 1e-300))
+    del B
+    blocks = []
+    for lo in range(0, n, DCOR_BLOCK):
+        hi = min(lo + DCOR_BLOCK, n)
+        W = 2.0 * A[lo:hi, lo:]
+        W[:, :hi - lo] *= 0.5
+        blocks.append((lo, hi, W.astype(np.float32)))
+    return blocks, Dy, n * n * dvar
+
+
+def _dcov_sum(blocks, Dy: np.ndarray, p: np.ndarray) -> float:
+    """sum_ij A_ij Dy[p_i, p_j].  A is double-centred (zero row and column
+    sums), so this equals the sum against y's centred distance matrix
+    permuted by p."""
+    total = 0.0
+    for lo, hi, W in blocks:
+        rows = Dy.take(p[lo:hi], axis=0).take(p[lo:], axis=1)
+        total += float(np.vdot(W, rows))
+    return total
+
+
+def distance_correlation(x: np.ndarray, y: np.ndarray) -> float:
+    blocks, Dy, scale = _dcor_setup(x, y)
+    dcov = _dcov_sum(blocks, Dy, np.arange(len(Dy)))
+    return math.sqrt(max(dcov, 0.0) / scale)
 
 
 def distance_correlation_test(x: np.ndarray, y: np.ndarray, rng: RngStream,
                               permutations: int = 199):
     """Permutation independence test on the distance correlation; returns
     (dcor, p_value)."""
-    x = np.asarray(x, dtype=float).reshape(len(x), -1)
-    y = np.asarray(y, dtype=float).reshape(len(y), -1)
-    A = _center(_pairwise_block(x, x).astype(np.float64))
-    B = _center(_pairwise_block(y, y).astype(np.float64))
-    dvar = math.sqrt(max((A * A).mean() * (B * B).mean(), 1e-300))
-    obs = (A * B).mean() / dvar
+    blocks, Dy, scale = _dcor_setup(x, y)
+    n = len(Dy)
+    obs = _dcov_sum(blocks, Dy, np.arange(n))
     gen = rng.generator()
-    geq = 0
-    for _ in range(permutations):
-        perm = gen.permutation(len(y))
-        if (A * B[np.ix_(perm, perm)]).mean() / dvar >= obs:
-            geq += 1
-    pvalue = (1.0 + geq) / (permutations + 1.0)
-    return float(max(obs, 0.0) ** 0.5 if obs > 0 else 0.0), pvalue
+    geq = sum(_dcov_sum(blocks, Dy, gen.permutation(n)) >= obs
+              for _ in range(permutations))
+    return math.sqrt(max(obs, 0.0) / scale), (1.0 + geq) / (permutations + 1.0)

@@ -358,13 +358,15 @@ def shift_invariance_samples(config: SkeletonConfig, queries, h: float,
 
 
 def test_shift_invariance(config: SkeletonConfig, hs, queries, replicas: int,
-                          rng: RngStream, alpha: float = 0.01,
-                          permutations: int = 199) -> list:
+                          rng: RngStream, alpha: float = 0.01) -> list:
     """Per-query two-sample KS plus a joint energy test, unshifted vs each
-    shifted sample, independent replica sets, Bonferroni inside the bundle."""
+    shifted sample, independent replica sets, Bonferroni inside the bundle.
+    The energy tests run ceil(1 / alpha_each) permutations, so their p-value
+    floor 1 / (permutations + 1) lies below the level they are tested at."""
     hs = list(hs)
     n_tests = len(hs) * (len(queries) + 1)
     alpha_each = alpha / n_tests
+    permutations = math.ceil(1.0 / alpha_each)
     base = shift_invariance_samples(config, queries, 0.0, replicas,
                                     rng.child(0))
     reports = []
@@ -380,5 +382,6 @@ def test_shift_invariance(config: SkeletonConfig, hs, queries, replicas: int,
                                     permutations=permutations)
         reports.append(pvalue_report(
             f"shift_invariance_energy_h{h}", stat, p, alpha_each, replicas,
-            notes=f"joint law over {len(queries)} queries, h={h}"))
+            notes=(f"joint law over {len(queries)} queries, h={h}, "
+                   f"{permutations} permutations")))
     return reports

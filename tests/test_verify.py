@@ -140,8 +140,7 @@ def test_shift_invariance_small_and_control():
         DiffusionSpec.arratia(), window=(0.0, 1.0), dx=1.0 / 32, t0=0.0,
         t1=1.25, dt=2e-3, row_period=0.05, queries=queries, hs=(0.25,))
     reports = verify.test_shift_invariance(cfg, (0.25,), queries, 400,
-                                           RngStream(8, (0,)),
-                                           permutations=99)
+                                           RngStream(8, (0,)))
     assert all(r.passed for r in reports), [
         (r.name, r.mc_std_error) for r in reports if not r.passed]
     hostile = verify.shift_invariance_config(
@@ -150,5 +149,7 @@ def test_shift_invariance_small_and_control():
         window=(0.0, 1.0), dx=1.0 / 32, t0=0.0, t1=1.25, dt=2e-3,
         row_period=0.05, queries=queries, hs=(0.25,))
     bad = verify.test_shift_invariance(hostile, (0.25,), queries, 400,
-                                       RngStream(8, (1,)), permutations=99)
+                                       RngStream(8, (1,)))
     assert not all(r.passed for r in bad)
+    energy = [r for r in bad if "energy" in r.name]
+    assert len(energy) == 1 and not energy[0].passed, energy
