@@ -48,15 +48,11 @@ class RunConfig:
 
     def skeleton_config(self) -> SkeletonConfig:
         sk = dict(DEFAULT_SKELETON, **self.skeleton)
-        observe = sk["observe"]
-        if not isinstance(observe, str):
-            observe = tuple(observe)
         return SkeletonConfig.rows(
-            window=tuple(sk["window"]), dx=sk["dx"], t0=sk["t0"], t1=sk["t1"],
+            window=sk["window"], dx=sk["dx"], t0=sk["t0"], t1=sk["t1"],
             dt=sk["dt"], model=self.motion_model(),
-            row_period=sk.get("row_period"),
-            start_times=tuple(sk["start_times"]) if "start_times" in sk else None,
-            observe=observe)
+            row_period=sk["row_period"], start_times=sk.get("start_times"),
+            observe=sk["observe"])
 
     def n_replicas(self, bundle: str, default: int) -> int:
         n = self.replicas.get(bundle, default)

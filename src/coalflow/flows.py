@@ -101,14 +101,18 @@ def analytic_flow_element(window=(-2.0, 3.0),
 # evaluation
 
 
-def _envelope_pick(skel: SkeletonFlow, k_s: int, x: float):
-    """Least cluster at or above x at step k_s (ties continue the skeleton
-    trajectory through x)."""
+def _skeleton_query(f: FlowElement, q: EvalQuery):
+    """(skeleton, tid, k_t) for a skeleton-backed element: tid is the least
+    cluster at or above x at the shifted s (ties continue the skeleton
+    trajectory through x), k_t the grid step of the shifted t."""
+    skel = f.backend.skeleton
+    k_s = skel.snap_index(float(Fraction(q.s) + f.shift_offset))
+    k_t = skel.snap_index(float(Fraction(q.t) + f.shift_offset))
     ids, pos, _ = skel.clusters_at_index(k_s)
-    idx = int(np.searchsorted(pos, x, side="left"))
+    idx = int(np.searchsorted(pos, float(q.x), side="left"))
     if idx >= pos.size:
-        raise AboveRange(f"no skeleton trajectory >= {x} at step {k_s}")
-    return int(ids[idx]), float(pos[idx])
+        raise AboveRange(f"no skeleton trajectory >= {q.x} at step {k_s}")
+    return skel, int(ids[idx]), k_t
 
 
 def evaluate(f: FlowElement, q: EvalQuery):
@@ -119,22 +123,15 @@ def evaluate(f: FlowElement, q: EvalQuery):
         return b.eval(Fraction(q.s) + off, q.x, Fraction(q.t) + off)
     if isinstance(b, ConstantFlow):
         return q.x
-    skel = b.skeleton
-    k_s = skel.snap_index(float(Fraction(q.s) + off))
-    k_t = skel.snap_index(float(Fraction(q.t) + off))
-    tid, _ = _envelope_pick(skel, k_s, float(q.x))
+    skel, tid, k_t = _skeleton_query(f, q)
     return skel.value(tid, k_t)
 
 
 def evaluate_with_id(f: FlowElement, q: EvalQuery):
     """(value, trajectory id) pair; for the analytic backend the id is the
     integer cell the trajectory was born in."""
-    b = f.backend
-    if isinstance(b, SkeletonEnvelope):
-        skel = b.skeleton
-        k_s = skel.snap_index(float(Fraction(q.s) + f.shift_offset))
-        k_t = skel.snap_index(float(Fraction(q.t) + f.shift_offset))
-        tid, _ = _envelope_pick(skel, k_s, float(q.x))
+    if isinstance(f.backend, SkeletonEnvelope):
+        skel, tid, k_t = _skeleton_query(f, q)
         return skel.value(tid, k_t), skel.resolve(tid, k_t)
     v = evaluate(f, q)
     return v, math.floor(v)
@@ -424,11 +421,7 @@ def _f4_witness_ok(f: FlowElement, q: EvalQuery) -> bool:
         check = b.eval(Fraction(r) + f.shift_offset, cell,
                        Fraction(q.t) + f.shift_offset)
         return (r < q.t or (r == q.t and q.t == q.s)) and check == v
-    skel = b.skeleton
-    off = f.shift_offset
-    k_s = skel.snap_index(float(Fraction(q.s) + off))
-    k_t = skel.snap_index(float(Fraction(q.t) + off))
-    tid, _ = _envelope_pick(skel, k_s, float(q.x))
+    skel, tid, k_t = _skeleton_query(f, q)
     value = skel.value(tid, k_t)
     origin = skel.origin_of(skel.resolve(tid, k_t))
     k_act = int(skel.act[origin])

@@ -5,12 +5,19 @@ finite product grid: start rows (a space lattice over the window) injected at
 configured times.  Trajectories are frozen at their start value before
 activation, co-evolve under the coalescing n-point stepper afterwards, and
 share storage through their absorbing trajectory once merged.
+
+The builder lays out the trajectory table (start value, activation step,
+parent, merge step) before it steps, keeps the live clusters as numpy arrays
+(ids, positions, least activation step) and records the live ids and
+positions once per step: grouped by id, the records are the histories, and
+an observed step's record is its cluster snapshot.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -53,9 +60,32 @@ def model_from_dict(d: dict) -> MotionModel:
     raise ConfigError(f"unknown model kind {kind!r}")
 
 
+def _finite(v, what: str) -> None:
+    if not isinstance(v, numbers.Real) or not math.isfinite(v):
+        raise ConfigError(f"{what} must be a finite number, got {v!r}")
+
+
+def _tuple(v, what: str) -> tuple:
+    if not isinstance(v, (list, tuple)):
+        raise ConfigError(f"{what} must be a list, got {v!r}")
+    return tuple(v)
+
+
+def _pair(v, what: str) -> tuple:
+    """A pair of finite numbers, as a tuple."""
+    v = _tuple(v, what)
+    if len(v) != 2:
+        raise ConfigError(f"{what} must be two numbers, got {v!r}")
+    for x in v:
+        _finite(x, what)
+    return v
+
+
 @dataclass(frozen=True)
 class SkeletonConfig:
-    """Grid geometry: start rows are start_times x {c, c+dx, ..., c'}."""
+    """Grid geometry: start rows are start_times x {c, c+dx, ..., c'}.
+    Validated on construction (a bad field is a ConfigError, so a build can
+    trust its input); list-valued fields are stored as tuples."""
 
     window: tuple
     dx: float
@@ -68,18 +98,31 @@ class SkeletonConfig:
     extra_starts: tuple = ()             # explicit (s, u) points beyond the product grid
 
     def __post_init__(self):
+        def put(name, value):
+            object.__setattr__(self, name, value)
+
+        put("window", _pair(self.window, "window"))
+        for name in ("dx", "t0", "t1", "dt"):
+            _finite(getattr(self, name), name)
         c, cp = self.window
         if not (cp >= c and self.dx > 0 and self.dt > 0 and self.t1 > self.t0):
             raise ConfigError("need c' >= c, dx > 0, dt > 0, t1 > t0")
+        put("start_times", _tuple(self.start_times, "start_times"))
+        put("extra_starts", tuple(_pair(p, "extra start") for p in
+                                  _tuple(self.extra_starts, "extra_starts")))
+        if self.observe != "all":
+            put("observe", _tuple(self.observe, "observe"))
+        observed = self.observe if self.observe != "all" else ()
+        for s in (*self.start_times, *observed,
+                  *(s for s, _ in self.extra_starts)):
+            _finite(s, "time")
+            try:
+                self.snap_index(s)
+            except (OutOfHorizon, OffGridTime) as exc:
+                raise ConfigError(str(exc)) from exc
         if len(self.start_times) == 0:
             raise ConfigError("need at least one start row")
-        for s in self.start_times:
-            if s < self.t0 - _SNAP_TOL or s > self.t1 + _SNAP_TOL:
-                raise ConfigError(f"start time {s} outside horizon")
-            k = round((s - self.t0) / self.dt)
-            if abs(self.t0 + k * self.dt - s) > _SNAP_TOL:
-                raise ConfigError(f"start time {s} not on the dt grid")
-        if tuple(sorted(self.start_times)) != tuple(self.start_times):
+        if tuple(sorted(self.start_times)) != self.start_times:
             raise ConfigError("start_times must be sorted")
 
     @staticmethod
@@ -90,11 +133,17 @@ class SkeletonConfig:
         if start_times is None:
             if row_period is None:
                 row_period = dt
+            for name, v in (("t0", t0), ("t1", t1),
+                            ("row_period", row_period)):
+                _finite(v, name)
+            if row_period <= 0:
+                raise ConfigError(f"row_period must be positive, "
+                                  f"got {row_period}")
             n = int(math.floor((t1 - t0) / row_period + _SNAP_TOL))
             start_times = tuple(t0 + i * row_period for i in range(n + 1))
-        return SkeletonConfig(window=tuple(window), dx=dx, t0=t0, t1=t1, dt=dt,
-                              start_times=tuple(start_times), model=model,
-                              observe=observe, extra_starts=tuple(extra_starts))
+        return SkeletonConfig(window=window, dx=dx, t0=t0, t1=t1, dt=dt,
+                              start_times=start_times, model=model,
+                              observe=observe, extra_starts=extra_starts)
 
     @property
     def n_steps(self) -> int:
@@ -129,14 +178,11 @@ class SkeletonConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "SkeletonConfig":
-        observe = d.get("observe", "all")
-        if not isinstance(observe, str):
-            observe = tuple(observe)
         return SkeletonConfig(
-            window=tuple(d["window"]), dx=d["dx"], t0=d["t0"], t1=d["t1"],
-            dt=d["dt"], start_times=tuple(d["start_times"]),
-            model=model_from_dict(d["model"]), observe=observe,
-            extra_starts=tuple(tuple(p) for p in d.get("extra_starts", [])))
+            window=d["window"], dx=d["dx"], t0=d["t0"], t1=d["t1"],
+            dt=d["dt"], start_times=d["start_times"],
+            model=model_from_dict(d["model"]), observe=d.get("observe", "all"),
+            extra_starts=d.get("extra_starts", ()))
 
 
 class SkeletonFlow:
@@ -197,10 +243,7 @@ class SkeletonFlow:
 
     def series(self, tid: int, k_from: int, k_to: int) -> np.ndarray:
         """Positions of tid at steps k_from..k_to inclusive."""
-        out = np.empty(k_to - k_from + 1, dtype=float)
-        for i, k in enumerate(range(k_from, k_to + 1)):
-            out[i] = self.value(tid, k)
-        return out
+        return np.array([self.value(tid, k) for k in range(k_from, k_to + 1)])
 
     def origin_of(self, tid: int) -> int:
         """First ancestor with a real history (skips starters that landed
@@ -212,12 +255,9 @@ class SkeletonFlow:
 
     def merges(self) -> list:
         """(absorbed id, absorbing id, merge time), in id order."""
-        out = []
-        for i in range(self.n_traj):
-            m = int(self.merge_step[i])
-            if m >= 0:
-                out.append((i, int(self.parent[i]), float(self.times[m])))
-        return out
+        return [(int(i), int(self.parent[i]),
+                 float(self.times[self.merge_step[i]]))
+                for i in np.flatnonzero(self.merge_step >= 0)]
 
     # -- cluster views -------------------------------------------------------
 
@@ -264,8 +304,7 @@ class SkeletonFlow:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         lens = np.array([len(h) for h in self.hist], dtype=np.int64)
-        flat = (np.concatenate([np.asarray(h, dtype=float) for h in self.hist])
-                if self.n_traj else np.zeros(0))
+        flat = np.concatenate([np.zeros(0), *self.hist])
         header = {
             "format": "coalflow-skeleton",
             "version": _FORMAT_VERSION,
@@ -318,14 +357,10 @@ class SkeletonFlow:
         if (any(a.size != n_traj for a in arrays[:5])
                 or np.any(lens < 0) or int(lens.sum()) != flat.size):
             raise ConfigError("snapshot block lengths disagree")
-        hist, off = [], 0
-        for ln in lens:
-            hist.append(flat[off:off + ln].copy())
-            off += int(ln)
-        return SkeletonFlow(cfg, seed, rng_path,
-                            u0.copy(), act.astype(np.int64).copy(),
-                            parent.astype(np.int64).copy(),
-                            merge_step.astype(np.int64).copy(), hist)
+        hist = np.split(flat.copy(), np.cumsum(lens))[:-1]
+        return SkeletonFlow(cfg, seed, rng_path, u0.copy(),
+                            act.astype(np.int64), parent.astype(np.int64),
+                            merge_step.astype(np.int64), hist)
 
 
 def _read_exact(fh, n: int) -> bytes:
@@ -339,165 +374,92 @@ def _read_exact(fh, n: int) -> bytes:
 def build_skeleton(config: SkeletonConfig, rng: RngStream) -> SkeletonFlow:
     """Run the grid injection + coalescing stepping loop.
 
-    At each start time the new row is activated (history before the start is
-    the constant start value) and thereafter co-evolves with the running
-    system; a starter landing exactly on an occupied position merges at
-    injection.
+    The trajectory table is laid out first: ids run in step order, and
+    within a step the start row comes first, then the step's extra starts
+    in config order.  Each step k steps the live clusters from k - 1 (a
+    merged cluster keeps its least id; the ids it absorbs get it as parent
+    and k as merge step), injects step k's starters (one landing exactly on
+    a live position, or on an earlier starter of the step, merges at
+    injection) and records the live arrays.
     """
     model = config.model
-    lattice = config.lattice()
     K = config.n_steps
     times = config.times()
-    row_steps: dict = {}
-    for s in config.start_times:
-        row_steps.setdefault(config.snap_index(s), []).append(None)
-    extras: dict = {}
-    for (s, u) in config.extra_starts:
-        extras.setdefault(config.snap_index(s), []).append(float(u))
-    if isinstance(config.observe, str):
-        observe = None if config.observe == "all" else set()
-    else:
-        observe = {config.snap_index(t) for t in config.observe}
+    lattice = config.lattice()
+    row_steps = np.unique([config.snap_index(s) for s in config.start_times])
+    extra_steps = [config.snap_index(s) for s, _ in config.extra_starts]
+    steps = np.concatenate([np.repeat(row_steps, lattice.size),
+                            np.asarray(extra_steps, dtype=np.int64)])
+    order = np.argsort(steps, kind="stable")
+    act = steps[order]
+    u0 = np.concatenate([np.tile(lattice, row_steps.size),
+                         [float(u) for _, u in config.extra_starts]])[order]
+    parent = np.arange(u0.size)
+    merge_step = np.full(u0.size, -1, dtype=np.int64)
+    first = np.searchsorted(act, np.arange(K + 2))  # ids first[k]:first[k+1]
+    observed = (range(K + 1) if config.observe == "all"
+                else {config.snap_index(t) for t in config.observe})
 
     gen = rng.generator()
     time_drift = getattr(model, "time_drift", None)
-    is_harris = isinstance(model, HarrisSpec)
-
-    u0: list = []
-    act: list = []
-    parent: list = []
-    merge_step: list = []
-    hist: list = []
-
-    live_pos = np.zeros(0, dtype=float)
-    live_id: list = []
-    live_minact: list = []
-    snapshots: dict = {}
-
-    def new_tid(u, k):
-        tid = len(u0)
-        u0.append(float(u))
-        act.append(k)
-        parent.append(tid)
-        merge_step.append(-1)
-        hist.append([])
-        return tid
-
-    def inject_one(k, u):
-        nonlocal live_pos
-        tid = new_tid(u, k)
-        idx = int(np.searchsorted(live_pos, u))
-        if idx < live_pos.size and live_pos[idx] == u:
-            # landed on the skeleton: merge immediately, keep SP1 vacuous
-            parent[tid] = live_id[idx]
-            merge_step[tid] = k
-            live_minact[idx] = min(live_minact[idx], k)
-        else:
-            live_pos = np.insert(live_pos, idx, u)
-            live_id.insert(idx, tid)
-            live_minact.insert(idx, k)
-            hist[tid].append(u)
-
-    def inject(k):
-        nonlocal live_pos
-        if k in row_steps:
-            # whole row at once: lattice values are distinct, so only
-            # collisions against the running system need per-point handling
-            base = len(u0)
-            m_row = lattice.size
-            tids = list(range(base, base + m_row))
-            u0.extend(lattice.tolist())
-            act.extend([k] * m_row)
-            parent.extend(tids)
-            merge_step.extend([-1] * m_row)
-            hist.extend([] for _ in range(m_row))
-            if live_pos.size:
-                idx = np.searchsorted(live_pos, lattice)
-                safe = np.minimum(idx, live_pos.size - 1)
-                collide = (idx < live_pos.size) & (live_pos[safe] == lattice)
+    live_id = np.zeros(0, dtype=np.int64)
+    live_pos = np.zeros(0)
+    live_minact = np.zeros(0, dtype=np.int64)
+    rec_id, rec_pos, snapshots = [], [], {}
+    for k in range(K + 1):
+        if k and live_pos.size:
+            if isinstance(model, HarrisSpec):
+                prop, flags = propose_harris_step(model, live_pos, config.dt,
+                                                  gen)
             else:
-                collide = np.zeros(lattice.size, dtype=bool)
-            if collide.any():
-                for j in np.nonzero(collide)[0]:
-                    tid = tids[int(j)]
-                    at = int(np.searchsorted(live_pos, lattice[int(j)]))
-                    parent[tid] = live_id[at]
-                    merge_step[tid] = k
-                    live_minact[at] = min(live_minact[at], k)
-            fresh = ~collide
-            fresh_tids = [t for t, f in zip(tids, fresh) if f]
-            concat_pos = np.concatenate([live_pos, lattice[fresh]])
-            concat_id = live_id + fresh_tids
-            concat_minact = live_minact + [k] * len(fresh_tids)
-            order = np.argsort(concat_pos, kind="stable")
-            live_pos = concat_pos[order]
-            live_id[:] = [concat_id[o] for o in order]
-            live_minact[:] = [concat_minact[o] for o in order]
-            for tid, u in zip(fresh_tids, lattice[fresh].tolist()):
-                hist[tid].append(u)
-        for u in extras.get(k, ()):
-            inject_one(k, u)
+                prop, flags = propose_diffusion_step(
+                    model, live_pos, float(times[k - 1]), config.dt, gen,
+                    time_drift=time_drift)
+            if flags.any():
+                live_pos, starts, counts = collapse_proposals(prop, flags)
+                keep = np.minimum.reduceat(live_id, starts)
+                live_minact = np.minimum.reduceat(live_minact, starts)
+                owner = np.repeat(keep, counts)
+                gone = owner != live_id
+                parent[live_id[gone]] = owner[gone]
+                merge_step[live_id[gone]] = k
+                live_id = keep
+            else:
+                live_pos = prop
+        lo, hi = first[k], first[k + 1]
+        if hi > lo:
+            new = u0[lo:hi]
+            # each starter's host: the live cluster it lands on, else the
+            # step's first starter at its value (itself when it is fresh)
+            _, at, inv = np.unique(new, return_index=True, return_inverse=True)
+            host = lo + at[inv]
+            if live_pos.size:
+                j = np.minimum(np.searchsorted(live_pos, new),
+                               live_pos.size - 1)
+                on_live = live_pos[j] == new
+                host[on_live] = live_id[j[on_live]]
+            fresh = host == np.arange(lo, hi)
+            parent[lo:hi] = host
+            merge_step[lo:hi][~fresh] = k
+            pos = np.concatenate([live_pos, new[fresh]])
+            order = np.argsort(pos, kind="stable")
+            live_pos = pos[order]
+            live_id = np.concatenate([live_id, host[fresh]])[order]
+            live_minact = np.concatenate(
+                [live_minact, np.full(host[fresh].size, k)])[order]
+        # the live arrays are replaced, never written in place, so the
+        # records and snapshots can share them
+        rec_id.append(live_id)
+        rec_pos.append(live_pos)
+        if k in observed:
+            snapshots[k] = (live_id, live_pos, live_minact)
 
-    def advance(k):
-        nonlocal live_pos
-        n = live_pos.size
-        if n == 0:
-            return
-        if is_harris:
-            prop, flags = propose_harris_step(model, live_pos, config.dt, gen)
-        else:
-            prop, flags = propose_diffusion_step(
-                model, live_pos, float(times[k]), config.dt, gen,
-                time_drift=time_drift)
-        if n >= 2 and flags.any():
-            new_pos, starts, counts = collapse_proposals(prop, flags)
-            new_id, new_minact = [], []
-            pos_list = new_pos.tolist()
-            for gi, (gs, gc) in enumerate(zip(starts.tolist(), counts.tolist())):
-                if gc == 1:
-                    lid = live_id[gs]
-                    new_id.append(lid)
-                    new_minact.append(live_minact[gs])
-                    hist[lid].append(pos_list[gi])
-                else:
-                    ids = live_id[gs:gs + gc]
-                    keep = min(ids)
-                    for aid in ids:
-                        if aid != keep:
-                            parent[aid] = keep
-                            merge_step[aid] = k + 1
-                    hist[keep].append(pos_list[gi])
-                    new_id.append(keep)
-                    new_minact.append(min(live_minact[gs:gs + gc]))
-            live_pos = new_pos
-            live_id[:] = new_id
-            live_minact[:] = new_minact
-        else:
-            live_pos = prop
-            for lid, v in zip(live_id, prop.tolist()):
-                hist[lid].append(v)
-
-    def snapshot(k):
-        if observe is not None and k not in observe:
-            return
-        snapshots[k] = (np.array(live_id, dtype=np.int64), live_pos.copy(),
-                        np.array(live_minact, dtype=np.int64))
-
-    inject(0)
-    snapshot(0)
-    for k in range(K):
-        advance(k)
-        inject(k + 1)
-        snapshot(k + 1)
-
-    flow = SkeletonFlow(
-        config, rng.seed, rng.path,
-        np.asarray(u0, dtype=float), np.asarray(act, dtype=np.int64),
-        np.asarray(parent, dtype=np.int64),
-        np.asarray(merge_step, dtype=np.int64),
-        [np.asarray(h, dtype=float) for h in hist],
-        snapshots=snapshots)
-    return flow
+    ids = np.concatenate(rec_id)
+    lens = np.bincount(ids, minlength=u0.size)
+    hist = np.split(np.concatenate(rec_pos)[np.argsort(ids, kind="stable")],
+                    np.cumsum(lens))[:-1]
+    return SkeletonFlow(config, rng.seed, rng.path, u0, act, parent,
+                        merge_step, hist, snapshots=snapshots)
 
 
 # ---------------------------------------------------------------------------
@@ -543,10 +505,7 @@ def check_sp_properties(skel: SkeletonFlow, rng: RngStream,
     reports = []
 
     # SP1: later starters never equal an older trajectory's current value.
-    collisions = 0
-    for i in range(skel.n_traj):
-        if len(skel.hist[i]) == 0 and skel.merge_step[i] == skel.act[i]:
-            collisions += 1
+    collisions = int(np.count_nonzero(skel.merge_step == skel.act))
     reports.append(exact_report(
         "SP1_fresh_starters", violations=0, samples=skel.n_traj,
         notes=(f"{collisions} starters landed exactly on an occupied position "

@@ -43,6 +43,19 @@ def test_config_validation():
         RunConfig.from_dict({"model": {"kind": "unknown"}})
 
 
+@pytest.mark.parametrize("skeleton", [
+    {"window": [0, float("inf")]}, {"window": [0]}, {"window": 1},
+    {"t1": float("inf")}, {"t0": float("nan")}, {"dx": "a"},
+    {"row_period": 0}, {"row_period": -0.05}, {"observe": "everything"},
+    {"observe": [0.00037]}, {"start_times": [0.1, "x"]}])
+def test_bad_skeleton_config_exits_2(tmp_path, capsys, skeleton):
+    base = json.loads(write_config(tmp_path).read_text())["skeleton"]
+    cfg_path = write_config(tmp_path, skeleton={**base, **skeleton})
+    assert main(["simulate", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_simulate_deterministic_and_manifested(tmp_path):
     cfg_path = write_config(tmp_path)
     assert main(["simulate", "--config", str(cfg_path)]) == 0

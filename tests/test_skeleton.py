@@ -1,10 +1,13 @@
-import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coalflow.errors import ConfigError, OffGridTime, OutOfHorizon
-from coalflow.motions import DiffusionSpec
+from coalflow.motions import DiffusionSpec, HarrisSpec
 from coalflow.rng import RngStream
 from coalflow.skeleton import (SkeletonConfig, SkeletonFlow, SpCheckPlan,
                                build_skeleton, check_sp_properties)
@@ -25,6 +28,10 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         SkeletonConfig(window=(0, 1), dx=0.1, t0=0, t1=1, dt=1e-3,
                        start_times=(0.00037,), model=DiffusionSpec.arratia())
+    for extra in ((0.00037, 0.5), (0.6, 0.5), (0.1, float("nan")),
+                  (0.1, float("inf")), (0.1,)):
+        with pytest.raises(ConfigError):
+            small_config(extra_starts=(extra,))
     cfg = small_config()
     with pytest.raises(OutOfHorizon):
         cfg.snap_index(2.0)
@@ -66,6 +73,24 @@ def test_duplicate_start_merges_at_injection():
     for k in range(0, skel.n_steps + 1, 53):
         vals = {skel.value(i, k) for i in dup}
         assert len(vals) == 1
+
+
+def test_row_landing_on_live_positions_merges_into_them():
+    # a 1e-150 diffusion moves no position >= 0.25 by one ulp, so every
+    # later row lands exactly on the live clusters of the first one
+    frozen = DiffusionSpec.generic(lambda x: np.zeros_like(x),
+                                   lambda x: np.full_like(x, 1e-150), 0.0)
+    cfg = SkeletonConfig.rows(window=(0.25, 1.0), dx=0.25, t0=0.0, t1=0.02,
+                              dt=1e-3, model=frozen, row_period=0.01)
+    skel = build_skeleton(cfg, RngStream(1, (5,)))
+    assert skel.n_traj == 12
+    ids, pos, minact = skel.clusters_at_index(skel.n_steps)
+    assert ids.tolist() == [0, 1, 2, 3]
+    assert minact.tolist() == [0] * 4
+    for i in range(4, 12):
+        assert skel.parent[i] == i % 4
+        assert skel.merge_step[i] == skel.act[i]
+        assert len(skel.hist[i]) == 0
 
 
 def test_positions_at_contract():
@@ -145,3 +170,60 @@ def test_observe_subset_still_evaluates_lazily():
     assert pts and lazy
     ids, pos, _ = skel.clusters_at_index(skel.snap_index(0.3))
     assert np.all(np.diff(pos) > 0)
+
+
+@st.composite
+def _skeleton_cases(draw):
+    """Small grids with a row period that is a multiple of dt and extra
+    starts on lattice points (forced collisions), repeated, or free."""
+    model = draw(st.sampled_from([DiffusionSpec.arratia(),
+                                  DiffusionSpec.ornstein_uhlenbeck(1.0, 1.3),
+                                  HarrisSpec(gamma=1.0)]))
+    dx = draw(st.sampled_from([0.25, 0.125, 1.0 / 16]))
+    dt = 0.01
+    n_steps = draw(st.integers(1, 25))
+    row_period = dt * draw(st.integers(1, 8))
+    lattice = [k * dx for k in range(int(round(1 / dx)) + 1)]
+    extras = []
+    for kind in draw(st.lists(st.sampled_from(["lattice", "repeat", "free"]),
+                              max_size=6)):
+        if kind == "repeat" and extras:
+            extras.append(draw(st.sampled_from(extras)))
+            continue
+        s = dt * draw(st.integers(0, n_steps))
+        u = (draw(st.sampled_from(lattice)) if kind == "lattice"
+             else draw(st.floats(-0.5, 1.5)))
+        extras.append((s, u))
+    cfg = SkeletonConfig.rows(window=(0.0, 1.0), dx=dx, t0=0.0,
+                              t1=dt * n_steps, dt=dt, model=model,
+                              row_period=row_period, extra_starts=extras)
+    return cfg, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_skeleton_cases())
+def test_build_matches_saved_and_loaded_copy(case):
+    cfg, seed = case
+    skel = build_skeleton(cfg, RngStream(seed, (0,)))
+    with tempfile.TemporaryDirectory() as tmp:
+        loaded = SkeletonFlow.load(skel.save(Path(tmp) / "s.cfsk"))
+    K = skel.n_steps
+    # build-time snapshots hold distinct positions and equal the loaded
+    # copy's rebuilt cluster sets
+    assert sorted(skel.snapshots) == list(range(K + 1))
+    for k in range(K + 1):
+        assert np.all(np.diff(skel.snapshots[k][1]) > 0)
+        for built, rebuilt in zip(skel.snapshots[k],
+                                  loaded.clusters_at_index(k)):
+            assert built.dtype == rebuilt.dtype
+            assert np.array_equal(built, rebuilt)
+    # merge bookkeeping: absorbed into an older id, own history up to the
+    # merge step (or the horizon)
+    for i in range(skel.n_traj):
+        m = int(skel.merge_step[i])
+        if m >= 0:
+            assert skel.parent[i] < i and skel.act[i] <= m
+        end = m if m >= 0 else K + 1
+        assert len(skel.hist[i]) == end - skel.act[i]
+        for k in range(K + 1):
+            assert skel.value(i, k) == loaded.value(i, k)
