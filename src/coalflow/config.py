@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -34,10 +35,17 @@ class RunConfig:
     export_stride: int = 10                 # trajectory CSV decimation
 
     def __post_init__(self):
+        for name, kind in (("seed", int), ("scale", (int, float)),
+                           ("skeleton", dict), ("bundles", (list, tuple)),
+                           ("replicas", dict), ("export_stride", int)):
+            if not isinstance(getattr(self, name), kind):
+                raise ConfigError(f"{name} has the wrong type: "
+                                  f"{getattr(self, name)!r}")
+        object.__setattr__(self, "bundles", tuple(self.bundles))
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in 64 bits")
-        if self.scale <= 0:
-            raise ConfigError("scale must be positive")
+        if not 0 < self.scale < math.inf:
+            raise ConfigError("scale must be positive and finite")
         for b in self.bundles:
             if b not in KNOWN_BUNDLES:
                 raise ConfigError(f"unknown bundle {b!r}; known: {KNOWN_BUNDLES}")
@@ -83,10 +91,7 @@ class RunConfig:
         extra = set(d) - known
         if extra:
             raise ConfigError(f"unknown config keys: {sorted(extra)}")
-        kwargs = dict(d)
-        if "bundles" in kwargs:
-            kwargs["bundles"] = tuple(kwargs["bundles"])
-        return RunConfig(**kwargs)
+        return RunConfig(**d)
 
     @staticmethod
     def load(path) -> "RunConfig":

@@ -102,17 +102,18 @@ def analytic_flow_element(window=(-2.0, 3.0),
 
 
 def _skeleton_query(f: FlowElement, q: EvalQuery):
-    """(skeleton, tid, k_t) for a skeleton-backed element: tid is the least
-    cluster at or above x at the shifted s (ties continue the skeleton
-    trajectory through x), k_t the grid step of the shifted t."""
+    """(skeleton, ids, min_act, k_s, k_t) for a skeleton-backed element:
+    ids and min_act list the clusters at or above x at the shifted s in
+    position order (ties continue the skeleton trajectory through x), k_s
+    and k_t are the grid steps of the shifted s and t."""
     skel = f.backend.skeleton
     k_s = skel.snap_index(float(Fraction(q.s) + f.shift_offset))
     k_t = skel.snap_index(float(Fraction(q.t) + f.shift_offset))
-    ids, pos, _ = skel.clusters_at_index(k_s)
+    ids, pos, minact = skel.clusters_at_index(k_s)
     idx = int(np.searchsorted(pos, float(q.x), side="left"))
     if idx >= pos.size:
         raise AboveRange(f"no skeleton trajectory >= {q.x} at step {k_s}")
-    return skel, int(ids[idx]), k_t
+    return skel, ids[idx:], minact[idx:], k_s, k_t
 
 
 def evaluate(f: FlowElement, q: EvalQuery):
@@ -123,15 +124,16 @@ def evaluate(f: FlowElement, q: EvalQuery):
         return b.eval(Fraction(q.s) + off, q.x, Fraction(q.t) + off)
     if isinstance(b, ConstantFlow):
         return q.x
-    skel, tid, k_t = _skeleton_query(f, q)
-    return skel.value(tid, k_t)
+    skel, ids, _, _, k_t = _skeleton_query(f, q)
+    return skel.value(int(ids[0]), k_t)
 
 
 def evaluate_with_id(f: FlowElement, q: EvalQuery):
     """(value, trajectory id) pair; for the analytic backend the id is the
     integer cell the trajectory was born in."""
     if isinstance(f.backend, SkeletonEnvelope):
-        skel, tid, k_t = _skeleton_query(f, q)
+        skel, ids, _, _, k_t = _skeleton_query(f, q)
+        tid = int(ids[0])
         return skel.value(tid, k_t), skel.resolve(tid, k_t)
     v = evaluate(f, q)
     return v, math.floor(v)
@@ -193,25 +195,15 @@ def find_lt_witness(f: FlowElement, q: EvalQuery, c):
         return (q.s - 1.0, q.x) if q.x < c else None
     if isinstance(b, AnalyticFlow):
         return _analytic_lt_witness(b, f.shift_offset, q, c)
-    skel = b.skeleton
-    off = f.shift_offset
-    k_s = skel.snap_index(float(Fraction(q.s) + off))
-    k_t = skel.snap_index(float(Fraction(q.t) + off))
-    ids, pos, minact = skel.clusters_at_index(k_s)
-    idx = int(np.searchsorted(pos, float(q.x), side="left"))
-    if idx >= pos.size:
-        raise AboveRange(f"no skeleton trajectory >= {q.x} at {q.s}")
-    for j in range(idx, pos.size):
-        val_t = skel.value(int(ids[j]), k_t)
-        if not val_t < c:
+    skel, ids, minact, k_s, k_t = _skeleton_query(f, q)
+    for j, a in zip(ids.tolist(), minact.tolist()):
+        if not skel.value(j, k_t) < c:
             # monotone in j: higher clusters only end higher
             break
-        if minact[j] < k_s:
-            p_idx = k_s - 1
-            u = skel.value(int(ids[j]), p_idx)
+        if a < k_s:
             # report in unshifted coordinates
-            p = float(skel.times[p_idx] - float(off))
-            return (p, u)
+            p = float(skel.times[k_s - 1] - float(f.shift_offset))
+            return (p, skel.value(j, k_s - 1))
     return None
 
 
@@ -267,12 +259,6 @@ class AxiomPlan:
     s_hi: Optional[float] = None
     min_density_age: float = 0.01
     f3_ladder: int = 5
-
-
-def _sample_grid_times(skel: SkeletonFlow, gen, lo: float, hi: float, n: int):
-    k_lo = skel.snap_index(lo)
-    k_hi = skel.snap_index(hi)
-    return gen.integers(k_lo, k_hi + 1, size=n)
 
 
 def check_flow_axioms(f: FlowElement, rng: RngStream,
@@ -421,9 +407,10 @@ def _f4_witness_ok(f: FlowElement, q: EvalQuery) -> bool:
         check = b.eval(Fraction(r) + f.shift_offset, cell,
                        Fraction(q.t) + f.shift_offset)
         return (r < q.t or (r == q.t and q.t == q.s)) and check == v
-    skel, tid, k_t = _skeleton_query(f, q)
-    value = skel.value(tid, k_t)
-    origin = skel.origin_of(skel.resolve(tid, k_t))
+    skel, ids, _, _, k_t = _skeleton_query(f, q)
+    value = skel.value(int(ids[0]), k_t)
+    # a live id never merged at injection, so it has a history of its own
+    origin = skel.resolve(int(ids[0]), k_t)
     k_act = int(skel.act[origin])
     u0 = float(skel.u0[origin])
     rng_vals = skel.range_values_at(k_act)

@@ -8,9 +8,15 @@ share storage through their absorbing trajectory once merged.
 
 The builder lays out the trajectory table (start value, activation step,
 parent, merge step) before it steps, keeps the live clusters as numpy arrays
-(ids, positions, least activation step) and records the live ids and
-positions once per step: grouped by id, the records are the histories, and
-an observed step's record is its cluster snapshot.
+(ids, positions) and records them once per step: grouped by id, the records
+are the histories, and an observed step's record is its cluster snapshot.
+
+Ids run in activation order, a merge keeps the least id of its group, and a
+starter merged at injection points at a live id or at an earlier starter of
+its step, so parent[i] < i and act is nondecreasing in id.  Every trajectory
+in the cluster of a live id j therefore has act >= act[j]: a cluster's least
+activation step is its live id's own, and the live ids at step k are exactly
+those with act <= k < merge_step (or merge_step < 0).
 """
 
 from __future__ import annotations
@@ -50,13 +56,17 @@ def model_to_dict(model: MotionModel) -> dict:
 
 
 def model_from_dict(d: dict) -> MotionModel:
-    kind = d["kind"]
-    if kind == "arratia":
-        return DiffusionSpec.arratia()
-    if kind == "ou":
-        return DiffusionSpec.ornstein_uhlenbeck(d["rate"], d["sigma"])
-    if kind == "harris":
-        return HarrisSpec(gamma=d["gamma"], merge_gap=d.get("merge_gap", 1e-9))
+    try:
+        kind = d["kind"]
+        if kind == "arratia":
+            return DiffusionSpec.arratia()
+        if kind == "ou":
+            return DiffusionSpec.ornstein_uhlenbeck(d["rate"], d["sigma"])
+        if kind == "harris":
+            return HarrisSpec(gamma=d["gamma"],
+                              merge_gap=d.get("merge_gap", 1e-9))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad model {d!r}: {exc!r}") from exc
     raise ConfigError(f"unknown model kind {kind!r}")
 
 
@@ -222,9 +232,6 @@ class SkeletonFlow:
     def snap_index(self, t: float) -> int:
         return self.config.snap_index(t)
 
-    def start_of(self, tid: int):
-        return float(self.times[self.act[tid]]), float(self.u0[tid])
-
     # -- trajectory resolution ----------------------------------------------
 
     def resolve(self, tid: int, k: int) -> int:
@@ -242,16 +249,17 @@ class SkeletonFlow:
         return float(self.hist[j][k - self.act[j]])
 
     def series(self, tid: int, k_from: int, k_to: int) -> np.ndarray:
-        """Positions of tid at steps k_from..k_to inclusive."""
-        return np.array([self.value(tid, k) for k in range(k_from, k_to + 1)])
-
-    def origin_of(self, tid: int) -> int:
-        """First ancestor with a real history (skips starters that landed
-        exactly on an occupied position and merged at injection)."""
+        """Positions of tid at steps k_from..k_to inclusive: u0 before
+        activation, then the history slices along tid's merge chain."""
         j = int(tid)
-        while len(self.hist[j]) == 0:
-            j = int(self.parent[j])
-        return j
+        k = max(k_from, int(self.act[j]))
+        parts = [np.full(max(0, min(k, k_to + 1) - k_from), self.u0[j])]
+        while k <= k_to:
+            a, m = int(self.act[j]), int(self.merge_step[j])
+            end = max(k, k_to + 1 if m < 0 else min(m, k_to + 1))
+            parts.append(self.hist[j][k - a:end - a])
+            k, j = end, int(self.parent[j])
+        return np.concatenate(parts)
 
     def merges(self) -> list:
         """(absorbed id, absorbing id, merge time), in id order."""
@@ -263,23 +271,17 @@ class SkeletonFlow:
 
     def clusters_at_index(self, k: int):
         """(ids, positions, min_act) of live clusters at step k, sorted by
-        position; recorded at build time for observed steps, reconstructed
-        otherwise."""
+        position; recorded at build time for observed steps, otherwise read
+        off act/merge_step as the module docstring says, and cached."""
         if k in self.snapshots:
             return self.snapshots[k]
         if k in self._lazy_cache:
             return self._lazy_cache[k]
-        reps: dict = {}
-        for i in range(self.n_traj):
-            if self.act[i] > k:
-                continue
-            j = self.resolve(i, k)
-            cur = reps.get(j)
-            a = int(self.act[i])
-            reps[j] = a if cur is None else min(cur, a)
-        ids = np.fromiter(reps.keys(), dtype=np.int64)
-        pos = np.array([self.hist[j][k - self.act[j]] for j in ids], dtype=float)
-        minact = np.fromiter(reps.values(), dtype=np.int64)
+        ms = self.merge_step
+        ids = np.flatnonzero((self.act <= k) & ((ms < 0) | (ms > k)))
+        minact = self.act[ids]
+        pos = np.array([self.hist[j][k - a] for j, a in
+                        zip(ids.tolist(), minact.tolist())], dtype=float)
         order = np.argsort(pos, kind="stable")
         snap = (ids[order], pos[order], minact[order])
         self._lazy_cache[k] = snap
@@ -357,10 +359,16 @@ class SkeletonFlow:
         if (any(a.size != n_traj for a in arrays[:5])
                 or np.any(lens < 0) or int(lens.sum()) != flat.size):
             raise ConfigError("snapshot block lengths disagree")
-        hist = np.split(flat.copy(), np.cumsum(lens))[:-1]
+        hist = _split_hist(flat.copy(), lens)
         return SkeletonFlow(cfg, seed, rng_path, u0.copy(),
                             act.astype(np.int64), parent.astype(np.int64),
                             merge_step.astype(np.int64), hist)
+
+
+def _split_hist(flat: np.ndarray, lens: np.ndarray) -> list:
+    """Per-trajectory views of a flat history block of the given lengths."""
+    off = np.concatenate([[0], np.cumsum(lens)]).tolist()
+    return [flat[a:b] for a, b in zip(off[:-1], off[1:])]
 
 
 def _read_exact(fh, n: int) -> bytes:
@@ -404,7 +412,6 @@ def build_skeleton(config: SkeletonConfig, rng: RngStream) -> SkeletonFlow:
     time_drift = getattr(model, "time_drift", None)
     live_id = np.zeros(0, dtype=np.int64)
     live_pos = np.zeros(0)
-    live_minact = np.zeros(0, dtype=np.int64)
     rec_id, rec_pos, snapshots = [], [], {}
     for k in range(K + 1):
         if k and live_pos.size:
@@ -418,7 +425,6 @@ def build_skeleton(config: SkeletonConfig, rng: RngStream) -> SkeletonFlow:
             if flags.any():
                 live_pos, starts, counts = collapse_proposals(prop, flags)
                 keep = np.minimum.reduceat(live_id, starts)
-                live_minact = np.minimum.reduceat(live_minact, starts)
                 owner = np.repeat(keep, counts)
                 gone = owner != live_id
                 parent[live_id[gone]] = owner[gone]
@@ -445,19 +451,17 @@ def build_skeleton(config: SkeletonConfig, rng: RngStream) -> SkeletonFlow:
             order = np.argsort(pos, kind="stable")
             live_pos = pos[order]
             live_id = np.concatenate([live_id, host[fresh]])[order]
-            live_minact = np.concatenate(
-                [live_minact, np.full(host[fresh].size, k)])[order]
         # the live arrays are replaced, never written in place, so the
         # records and snapshots can share them
         rec_id.append(live_id)
         rec_pos.append(live_pos)
         if k in observed:
-            snapshots[k] = (live_id, live_pos, live_minact)
+            snapshots[k] = (live_id, live_pos, act[live_id])
 
     ids = np.concatenate(rec_id)
     lens = np.bincount(ids, minlength=u0.size)
-    hist = np.split(np.concatenate(rec_pos)[np.argsort(ids, kind="stable")],
-                    np.cumsum(lens))[:-1]
+    hist = _split_hist(np.concatenate(rec_pos)[np.argsort(ids, kind="stable")],
+                       lens)
     return SkeletonFlow(config, rng.seed, rng.path, u0, act, parent,
                         merge_step, hist, snapshots=snapshots)
 
@@ -613,27 +617,28 @@ def max_window_gap(pos: np.ndarray, lo: float, hi: float) -> float:
 def _sp5_ladder_stats(skel: SkeletonFlow, gen, plan: SpCheckPlan):
     cfg = skel.config
     lattice = cfg.lattice()
-    candidates = [i for i in range(skel.n_traj)
-                  if len(skel.hist[i]) > 0
-                  and skel.u0[i] + plan.sp5_ladder * cfg.dx <= cfg.window[1] + 1e-12]
-    if not candidates:
+    act, u0, ms = skel.act, skel.u0, skel.merge_step
+    # a trajectory has a history of its own unless it merged at injection
+    candidates = np.flatnonzero(
+        ((ms < 0) | (ms > act))
+        & (u0 + plan.sp5_ladder * cfg.dx <= cfg.window[1] + 1e-12))
+    if not candidates.size:
         return None
-    take = min(plan.n_sp5_starts, len(candidates))
-    chosen = gen.choice(len(candidates), size=take, replace=False)
+    take = min(plan.n_sp5_starts, candidates.size)
+    chosen = gen.choice(candidates.size, size=take, replace=False)
     per_rung = [[] for _ in range(plan.sp5_ladder)]
     for ci in chosen:
-        i = candidates[int(ci)]
-        k0, kend = int(skel.act[i]), skel.n_steps
+        i = int(candidates[ci])
+        k0, kend = int(act[i]), skel.n_steps
         base = skel.series(i, k0, kend)
-        row_mates = {}
-        for j in range(skel.n_traj):
-            if skel.act[j] == skel.act[i]:
-                row_mates[round((skel.u0[j] - skel.u0[i]) / cfg.dx)] = j
+        mates = np.flatnonzero(act == act[i])
+        offsets = np.rint((u0[mates] - u0[i]) / cfg.dx)
         for r in range(1, plan.sp5_ladder + 1):
-            j = row_mates.get(r)
-            if j is None:
+            at_r = mates[offsets == r]
+            if not at_r.size:
                 continue
-            upper = skel.series(j, k0, kend)
+            # the last id wins when an offset repeats
+            upper = skel.series(int(at_r[-1]), k0, kend)
             per_rung[r - 1].append(float(np.max(upper - base)))
     meds = [float(np.median(v)) if v else float("nan") for v in per_rung]
     return meds, take

@@ -56,6 +56,17 @@ def test_bad_skeleton_config_exits_2(tmp_path, capsys, skeleton):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("overrides", [
+    {"model": {"kind": "ou"}}, {"model": {"kind": "harris", "gamma": -1}},
+    {"model": 5}, {"skeleton": 5}, {"scale": "a"}, {"scale": float("inf")},
+    {"seed": "x"}, {"bundles": 5}, {"replicas": 5}, {"export_stride": "a"}])
+def test_bad_run_config_exits_2(tmp_path, capsys, overrides):
+    cfg_path = write_config(tmp_path, **overrides)
+    assert main(["simulate", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_simulate_deterministic_and_manifested(tmp_path):
     cfg_path = write_config(tmp_path)
     assert main(["simulate", "--config", str(cfg_path)]) == 0

@@ -93,6 +93,67 @@ def test_row_landing_on_live_positions_merges_into_them():
         assert len(skel.hist[i]) == 0
 
 
+def _reference_clusters(skel, k):
+    """The per-trajectory rebuild: resolve every activated trajectory at step
+    k and keep, per live id, the least activation step seen."""
+    reps = {}
+    for i in range(skel.n_traj):
+        if skel.act[i] <= k:
+            j = skel.resolve(i, k)
+            reps[j] = min(reps.get(j, int(skel.act[i])), int(skel.act[i]))
+    ids = np.fromiter(reps.keys(), dtype=np.int64)
+    pos = np.array([skel.hist[j][k - skel.act[j]] for j in ids], dtype=float)
+    minact = np.fromiter(reps.values(), dtype=np.int64)
+    order = np.argsort(pos, kind="stable")
+    return ids[order], pos[order], minact[order]
+
+
+def _harris_every_step():
+    cfg = SkeletonConfig.rows(window=(0.0, 1.0), dx=1.0 / 16, t0=0.0,
+                              t1=0.2, dt=0.01, model=HarrisSpec(gamma=1.0))
+    return build_skeleton(cfg, RngStream(3, (0,)))
+
+
+def _arratia_colliding_extras():
+    """Extra starts on a live position (repeated), on each other off the
+    lattice, and on a row's lattice point; none of them moves a draw."""
+    cfg = small_config(t1=0.2, dt=0.01, row_period=0.05)
+    base = build_skeleton(cfg, RngStream(4, (0,)))
+    t7, t10 = float(base.times[7]), float(base.times[10])
+    live = float(base.clusters_at_index(7)[1][3])
+    extras = ((t7, live), (t7, 0.123), (t7, live), (t7, 0.123),
+              (t10, 0.5), (t10, 0.5))
+    skel = build_skeleton(small_config(t1=0.2, dt=0.01, row_period=0.05,
+                                       extra_starts=extras),
+                          RngStream(4, (0,)))
+    assert int(np.count_nonzero(skel.merge_step == skel.act)) >= 5
+    return skel
+
+
+@pytest.mark.parametrize("make", [_harris_every_step,
+                                  _arratia_colliding_extras])
+def test_lazy_rebuild_matches_resolve_loop(tmp_path, make):
+    skel = make()
+    loaded = SkeletonFlow.load(skel.save(tmp_path / "s.cfsk"))
+    assert not loaded.snapshots
+    for k in range(skel.n_steps + 1):
+        got = loaded.clusters_at_index(k)
+        for a, b in zip(got, _reference_clusters(loaded, k)):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+        assert k in loaded._lazy_cache
+        assert loaded.clusters_at_index(k) is got
+
+
+@pytest.mark.parametrize("make", [_harris_every_step,
+                                  _arratia_colliding_extras])
+def test_snapshot_min_act_is_act_of_live_id(make):
+    skel = make()
+    assert sorted(skel.snapshots) == list(range(skel.n_steps + 1))
+    for ids, _, minact in skel.snapshots.values():
+        assert np.array_equal(minact, skel.act[ids])
+
+
 def test_positions_at_contract():
     cfg = SkeletonConfig.rows(window=(0.0, 1.0), dx=0.25, t0=0.0, t1=0.2,
                               dt=1e-3, model=DiffusionSpec.arratia(),
@@ -225,5 +286,7 @@ def test_build_matches_saved_and_loaded_copy(case):
             assert skel.parent[i] < i and skel.act[i] <= m
         end = m if m >= 0 else K + 1
         assert len(skel.hist[i]) == end - skel.act[i]
-        for k in range(K + 1):
-            assert skel.value(i, k) == loaded.value(i, k)
+        values = [skel.value(i, k) for k in range(K + 1)]
+        assert values == [loaded.value(i, k) for k in range(K + 1)]
+        assert np.array_equal(skel.series(i, 0, K), values)
+        assert np.array_equal(loaded.series(i, K // 2, K), values[K // 2:])
