@@ -49,6 +49,9 @@ class RunConfig:
         for b in self.bundles:
             if b not in KNOWN_BUNDLES:
                 raise ConfigError(f"unknown bundle {b!r}; known: {KNOWN_BUNDLES}")
+        extra = set(self.skeleton) - set(DEFAULT_SKELETON) - {"start_times"}
+        if extra:
+            raise ConfigError(f"unknown skeleton keys: {sorted(extra)}")
         model_from_dict(self.model)  # validates model dict
 
     def motion_model(self) -> MotionModel:
@@ -86,6 +89,9 @@ class RunConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
+        if not isinstance(d, dict):
+            raise ConfigError(f"a run config is a JSON object, not "
+                              f"{type(d).__name__}")
         known = {"seed", "out", "model", "skeleton", "bundles", "scale",
                  "replicas", "export_stride"}
         extra = set(d) - known
@@ -96,4 +102,8 @@ class RunConfig:
     @staticmethod
     def load(path) -> "RunConfig":
         with open(path) as fh:
-            return RunConfig.from_dict(json.load(fh))
+            try:
+                d = json.load(fh)
+            except ValueError as exc:   # not JSON, or not UTF-8 text
+                raise ConfigError(f"{path}: not a JSON file: {exc}") from None
+        return RunConfig.from_dict(d)

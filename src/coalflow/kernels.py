@@ -1,12 +1,13 @@
 """Vectorized Monte Carlo kernels.
 
-The coalescing stepper motions.step_system advances one system at a time;
-the statistical battery needs 1e5-scale replica counts, so the two-point
-and one-point simulations are vectorized across replicas here.  Same
-mathematics as the stepper (Euler step + bridge coalescence test); the test
-suite cross-checks the two code paths against each other and against closed
-forms.  The cluster-count sampler loops over replicas through the stepper's
-own proposal and collapse kernels.
+The coalescing stepper motions.step_system advances one system, or a
+lockstep batch of independent pairs in which every pair keeps its own
+generator.  The statistical battery needs 1e5-scale replica counts, so the
+two-point and one-point simulations here draw for all replicas at once from
+one stream.  Same mathematics as the stepper (Euler step + bridge
+coalescence test); the test suite cross-checks the two code paths against
+each other and against closed forms.  The cluster-count sampler loops over
+replicas through the stepper's own proposal and collapse kernels.
 """
 
 from __future__ import annotations

@@ -223,6 +223,37 @@ def collapse_proposals(prop: np.ndarray, merge_next: np.ndarray):
             np.asarray(cs, dtype=np.int64))
 
 
+def _euler_proposal(spec: DiffusionSpec, x: np.ndarray, z: np.ndarray,
+                    dt: float):
+    """Draw-free Euler-Maruyama proposal x + a(x) dt + b(x) sqrt(dt) z,
+    elementwise over an array of any shape, and b(x) for the bridge test
+    (None for the constant-coefficient kinds, whose rate is fixed)."""
+    sdt = math.sqrt(dt)
+    if spec.kind == "arratia":
+        return x + sdt * z, None
+    if spec.kind == "ou":
+        return x + (-spec.rate * dt) * x + (spec.sigma * sdt) * z, None
+    a = spec.drift(x)
+    b = spec.diffusion(x)
+    if np.any(b <= 0.0):
+        raise NonPositiveDiffusion("b(x) <= 0 at a step node")
+    return x + a * dt + b * sdt * z, b
+
+
+def _bridge_exponent(spec: DiffusionSpec, x: np.ndarray, d1: np.ndarray,
+                     b: Optional[np.ndarray], dt: float) -> np.ndarray:
+    """log P(bridge hit) = -2 d0 d1 / (rate dt) for each pair of neighbours
+    along the last axis of x, where d0 and d1 are their gaps before and
+    after the step and rate = b(x_i)^2 + b(x_j)^2 is frozen at the start."""
+    d0 = x[..., 1:] - x[..., :-1]
+    if b is None:
+        const_rate = (2.0 if spec.kind == "arratia"
+                      else 2.0 * spec.sigma * spec.sigma)
+        return d0 * d1 * (-2.0 / (const_rate * dt))
+    rate = b[..., :-1] ** 2 + b[..., 1:] ** 2
+    return -2.0 * d0 * d1 / (rate * dt)
+
+
 def propose_diffusion_step(spec: DiffusionSpec, positions: np.ndarray,
                            time: float, dt: float,
                            gen: np.random.Generator,
@@ -232,46 +263,24 @@ def propose_diffusion_step(spec: DiffusionSpec, positions: np.ndarray,
     decisions (sign change always merges; otherwise the frozen-coefficient
     bridge law with variance rate b(x_i)^2 + b(x_j)^2 decides).
 
-    The named kinds take closed-form fast paths; this is the innermost loop
-    of every skeleton build.  time_drift(t) adds a spatially constant,
-    time-dependent drift; it exists solely for negative-control fixtures and
-    is None in production use.
+    Draws standard_normal(n), then random(k) for the k pairs whose gap is
+    still positive.  The named kinds take closed-form fast paths; this is
+    the innermost loop of every skeleton build.  time_drift(t) adds a
+    spatially constant, time-dependent drift; it exists solely for
+    negative-control fixtures and is None in production use.
     """
     x = positions
-    n = x.size
-    sdt = math.sqrt(dt)
-    z = gen.standard_normal(n)
-    const_rate = None
-    if spec.kind == "arratia":
-        prop = x + sdt * z
-        const_rate = 2.0
-        b = None
-    elif spec.kind == "ou":
-        prop = x + (-spec.rate * dt) * x + (spec.sigma * sdt) * z
-        const_rate = 2.0 * spec.sigma * spec.sigma
-        b = None
-    else:
-        a = spec.drift(x)
-        b = spec.diffusion(x)
-        if np.any(b <= 0.0):
-            raise NonPositiveDiffusion("b(x) <= 0 at a step node")
-        prop = x + a * dt + b * sdt * z
+    prop, b = _euler_proposal(spec, x, gen.standard_normal(x.size), dt)
     if time_drift is not None:
         prop = prop + time_drift(time) * dt
-    if n < 2:
+    if x.size < 2:
         return prop, np.zeros(0, dtype=bool)
     d1 = prop[1:] - prop[:-1]
     flags = d1 <= 0.0
     if use_bridge and not flags.all():
         open_pair = ~flags
-        d0 = x[1:] - x[:-1]
-        if const_rate is not None:
-            expo = d0[open_pair] * d1[open_pair] * (-2.0 / (const_rate * dt))
-        else:
-            rate = b[:-1] ** 2 + b[1:] ** 2
-            expo = -2.0 * d0[open_pair] * d1[open_pair] / (rate[open_pair] * dt)
-        u = gen.random(expo.size)
-        hit = u < np.exp(expo)
+        expo = _bridge_exponent(spec, x, d1, b, dt)[open_pair]
+        hit = gen.random(expo.size) < np.exp(expo)
         if hit.any():
             flags = flags.copy()
             flags[open_pair] = hit
@@ -310,18 +319,51 @@ def propose_harris_step(spec: HarrisSpec, positions: np.ndarray, dt: float,
 
 
 def step_system(model: MotionModel, positions: np.ndarray, time: float,
-                dt: float, gen: np.random.Generator):
+                dt: float, gen):
     """One step of the coalescing motion on strictly increasing cluster
     positions: the model's proposal step, then collapse_proposals.
 
     Returns (positions, starts, counts) as collapse_proposals does; the
     skeleton builder runs the same two kernels on the same draws.
+
+    Lockstep pairs: gen may instead be a sequence of m generators, with
+    positions an (m, 2) array of m independent pairs of a DiffusionSpec,
+    each row strictly increasing.  Pair i draws from gen[i] exactly what a
+    one-system call on row i draws; the Euler step, the bridge test and the
+    merge run once over the whole batch.  Returns (positions, merged): an
+    (m, 2) array in which a pair that merged holds its midpoint in both
+    columns, and the (m,) bool mask of the pairs that merged in this step.
     """
+    if not isinstance(gen, np.random.Generator):
+        return _step_pairs(model, positions, dt, gen)
     if isinstance(model, HarrisSpec):
         prop, flags = propose_harris_step(model, positions, dt, gen)
     else:
         prop, flags = propose_diffusion_step(model, positions, time, dt, gen)
     return collapse_proposals(prop, flags)
+
+
+def _step_pairs(spec: DiffusionSpec, x: np.ndarray, dt: float,
+                gens: Sequence[np.random.Generator]):
+    """step_system on an (m, 2) batch of independent pairs; see there."""
+    if not isinstance(spec, DiffusionSpec):
+        raise TypeError("lockstep pairs need a DiffusionSpec")
+    z = np.empty((len(gens), 2))
+    for i, g in enumerate(gens):
+        g.standard_normal(out=z[i])
+    prop, b = _euler_proposal(spec, x, z, dt)
+    d1 = prop[:, 1:] - prop[:, :-1]
+    merged = (d1 <= 0.0).ravel()
+    open_pair = ~merged
+    if open_pair.any():
+        expo = _bridge_exponent(spec, x, d1, b, dt).ravel()[open_pair]
+        # random() draws the same double as random(1), at less call cost
+        u = np.array([gens[i].random()
+                      for i in np.flatnonzero(open_pair).tolist()])
+        merged[open_pair] = u < np.exp(expo)
+    # the midpoint collapse_proposals gives a merged pair
+    prop[merged] = ((prop[merged, 0] + prop[merged, 1]) / 2)[:, None]
+    return prop, merged
 
 
 def sample_npoint_motion(model: MotionModel, starts: Sequence[float],

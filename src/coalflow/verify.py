@@ -252,27 +252,40 @@ def _production_stopped_paths(spec: DiffusionSpec, starts, t: float,
                               dt: float, replicas: int, rng: RngStream,
                               checkpoint_steps) -> np.ndarray:
     """Pair paths of the coalescing sampler stopped at the first merge,
-    stepped by step_system (the production machinery)."""
+    stepped by step_system (the production machinery).
+
+    Returns (replicas, 2 * len(checkpoints) + 1): both positions at each
+    checkpoint step (a merged pair reports its one position twice) and the
+    grid meeting time, t if the pair never met.  Every live replica takes
+    each step in lockstep, while replica r draws from its own rng.child(r)
+    exactly what it would draw stepped alone, so no path depends on the
+    number of replicas.
+    """
     cps = sorted(checkpoint_steps)
     n_steps = int(round(t / dt))
+    if cps and not 1 <= cps[0] <= cps[-1] <= n_steps:
+        raise ValueError(f"checkpoint steps must lie in 1..{n_steps}")
+    gens = [rng.child(r).generator() for r in range(replicas)]
+    live = np.arange(replicas)
+    cur = np.tile(np.asarray(starts, dtype=float), (replicas, 1))
+    pos = cur.copy()                   # every replica; frozen once merged
+    meet_time = np.full(replicas, float(t))
     out = np.empty((replicas, 2 * len(cps) + 1), dtype=float)
-    for r in range(replicas):
-        gen = rng.child(r).generator()
-        pos = np.asarray(starts, dtype=float)
-        meet_time = float(t)
-        row = []
-        cp_iter = list(cps)
-        for k in range(1, n_steps + 1):
-            if pos.size == 2:
-                pos, _, _ = step_system(spec, pos, (k - 1) * dt, dt, gen)
-                if pos.size < 2:
-                    meet_time = k * dt
-            while cp_iter and k == cp_iter[0]:
-                # a merged pair reports its one position for both particles
-                row.extend(np.broadcast_to(pos, 2).tolist())
-                cp_iter = cp_iter[1:]
-        row.append(meet_time)
-        out[r] = row
+    col = 0
+    for k in range(1, n_steps + 1):
+        if live.size:
+            cur, merged = step_system(spec, cur, (k - 1) * dt, dt, gens)
+            if merged.any():
+                pos[live[merged]] = cur[merged]
+                meet_time[live[merged]] = k * dt
+                keep = ~merged
+                live, cur = live[keep], cur[keep]
+                gens = [g for g, kept in zip(gens, keep.tolist()) if kept]
+        while col < 2 * len(cps) and k == cps[col // 2]:
+            pos[live] = cur
+            out[:, col:col + 2] = pos
+            col += 2
+    out[:, -1] = meet_time
     return out
 
 

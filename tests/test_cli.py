@@ -47,7 +47,8 @@ def test_config_validation():
     {"window": [0, float("inf")]}, {"window": [0]}, {"window": 1},
     {"t1": float("inf")}, {"t0": float("nan")}, {"dx": "a"},
     {"row_period": 0}, {"row_period": -0.05}, {"observe": "everything"},
-    {"observe": [0.00037]}, {"start_times": [0.1, "x"]}])
+    {"observe": [0.00037]}, {"start_times": [0.1, "x"]},
+    {"row_perod": 0.05}])
 def test_bad_skeleton_config_exits_2(tmp_path, capsys, skeleton):
     base = json.loads(write_config(tmp_path).read_text())["skeleton"]
     cfg_path = write_config(tmp_path, skeleton={**base, **skeleton})
@@ -63,6 +64,18 @@ def test_bad_skeleton_config_exits_2(tmp_path, capsys, skeleton):
 def test_bad_run_config_exits_2(tmp_path, capsys, overrides):
     cfg_path = write_config(tmp_path, **overrides)
     assert main(["simulate", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["{not json", "5", "[]", '"cfg"', "null",
+                                  "\udcff"])
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_config_file_not_a_json_object_exits_2(tmp_path, capsys, command,
+                                               text):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    assert main([command, "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
 

@@ -37,3 +37,24 @@ def test_seed_and_path_bounds():
     with pytest.raises(ValueError):
         RngStream(0, (2**40,))
 
+
+
+@pytest.mark.parametrize("seed, path", [
+    (1, (25.0,)), (1, (True,)), (1, (0, "3")), (1.0, ()), (False, (2,))])
+def test_non_integer_seed_or_path_rejected_at_construction(seed, path):
+    with pytest.raises(TypeError):
+        RngStream(seed, path)
+
+
+@pytest.mark.parametrize("index", [25.0, True, np.float64(2.0), "3"])
+def test_non_integer_child_index_rejected(index):
+    with pytest.raises(TypeError):
+        RngStream(1, (2,)).child(index)
+
+
+def test_numpy_integer_path_entries_are_plain_ints():
+    s = RngStream(np.uint64(123), (np.int64(4), np.uint32(5)))
+    assert s == RngStream(123, (4, 5)) and s.child(np.int32(6)).path == (4, 5, 6)
+    assert all(type(p) is int for p in s.child(np.int32(6)).path)
+    assert np.array_equal(s.generator().random(8),
+                          RngStream(123, (4, 5)).generator().random(8))

@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 
 from coalflow import verify
-from coalflow.motions import DiffusionSpec
+from coalflow.motions import DiffusionSpec, HarrisSpec, step_system
 from coalflow.rng import RngStream
 
 OU = DiffusionSpec.ornstein_uhlenbeck(1.0, 1.0)
+GENERIC = DiffusionSpec.generic(lambda x: -np.sin(x),
+                                lambda x: 1.0 + 0.5 * np.cos(x), 1.5)
+PAIR_SPECS = pytest.mark.parametrize(
+    "spec", [DiffusionSpec.arratia(),
+             DiffusionSpec.ornstein_uhlenbeck(1.0, 1.3), GENERIC],
+    ids=["arratia", "ou", "generic"])
 
 
 def test_meeting_bound_reference_values():
@@ -118,6 +124,85 @@ def test_stopped_equivalence_and_control():
         DiffusionSpec.arratia(), (0.0, 1.0), 1.0, 800, RngStream(7, (1,)),
         dt=2e-3, permutations=99, hostile_no_stop=True)
     assert not bad.passed
+
+
+def _reference_stopped_paths(spec, starts, t, dt, replicas, rng,
+                             checkpoint_steps):
+    """The per-replica loop the lockstep sampler replaced: each replica runs
+    alone, one one-system step_system call a step until its pair merges."""
+    cps = sorted(checkpoint_steps)
+    n_steps = int(round(t / dt))
+    out = np.empty((replicas, 2 * len(cps) + 1), dtype=float)
+    for r in range(replicas):
+        gen = rng.child(r).generator()
+        pos = np.asarray(starts, dtype=float)
+        meet_time = float(t)
+        row = []
+        cp_iter = list(cps)
+        for k in range(1, n_steps + 1):
+            if pos.size == 2:
+                pos, _, _ = step_system(spec, pos, (k - 1) * dt, dt, gen)
+                if pos.size < 2:
+                    meet_time = k * dt
+            while cp_iter and k == cp_iter[0]:
+                row.extend(np.broadcast_to(pos, 2).tolist())
+                cp_iter = cp_iter[1:]
+        row.append(meet_time)
+        out[r] = row
+    return out
+
+
+@PAIR_SPECS
+@pytest.mark.parametrize("dt", [1e-2, 1e-3])
+@pytest.mark.parametrize("starts", [(0.2, 0.201), (-0.3, 0.4)],
+                         ids=["close", "wide"])
+def test_lockstep_stopped_paths_match_per_replica_loop(spec, dt, starts):
+    t = 0.2
+    n_steps = round(t / dt)
+    cps = sorted({max(1, (i + 1) * n_steps // 8) for i in range(8)})
+    rng = RngStream(11, (5,))
+    for replicas in (0, 1, 200):
+        got = verify._production_stopped_paths(spec, starts, t, dt, replicas,
+                                               rng, cps)
+        want = _reference_stopped_paths(spec, starts, t, dt, replicas, rng,
+                                        cps)
+        assert got.shape == (replicas, 2 * len(cps) + 1)
+        assert np.array_equal(got, want)
+    meet = want[:, -1]
+    if starts[1] - starts[0] < 1e-2:
+        # some pairs merge at step 1, before the first checkpoint
+        assert cps[0] > 1 and np.any(meet == dt)
+    else:
+        assert np.any(meet == t) and np.any(meet < t)
+
+
+@PAIR_SPECS
+def test_lockstep_step_draws_what_a_one_system_step_draws(spec):
+    """A lockstep pair consumes exactly the draws of its one-system step, so
+    the next draw of every generator agrees afterwards; pairs that merge by
+    a sign change draw no uniform."""
+    dt = 1e-2
+    rng = RngStream(12, (0,))
+    x = np.array([[0.2, 0.201], [-0.3, 0.4]] * 100)
+    gens = [rng.child(r).generator() for r in range(len(x))]
+    got, merged = step_system(spec, x, 0.0, dt, gens)
+    assert got.shape == x.shape and merged.shape == (len(x),)
+    for r, row in enumerate(x):
+        gen = rng.child(r).generator()
+        pos, _, _ = step_system(spec, row, 0.0, dt, gen)
+        assert merged[r] == (pos.size == 1)
+        assert np.array_equal(got[r], np.broadcast_to(pos, 2))
+        assert gens[r].random() == gen.random()
+    assert merged.any() and not merged.all()
+    with pytest.raises(TypeError):
+        step_system(HarrisSpec(), x, 0.0, dt, gens)
+
+
+@pytest.mark.parametrize("cps", [[0, 5], [5, 21]])
+def test_production_stopped_paths_rejects_checkpoints_off_the_grid(cps):
+    with pytest.raises(ValueError):
+        verify._production_stopped_paths(DiffusionSpec.arratia(), (0.0, 1.0),
+                                         0.2, 1e-2, 2, RngStream(1), cps)
 
 
 def test_stopped_equivalence_degenerate():
