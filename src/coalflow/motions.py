@@ -102,23 +102,6 @@ class HarrisSpec:
     def beta(self, x):
         return (1.0 - math.exp(-self.gamma)) * np.asarray(x, dtype=float)
 
-    def validate(self, n: int = 513) -> None:
-        xs = np.linspace(-8.0, 8.0, n)
-        g = self.correlation(xs)
-        if abs(self.correlation(0.0) - 1.0) > 0:
-            raise ValueError("Gamma(0) != 1")
-        if np.any(np.abs(g) > 1.0 + 1e-12):
-            raise ValueError("|Gamma| > 1")
-        if np.max(np.abs(g - g[::-1])) > 1e-12:
-            raise ValueError("Gamma is not even")
-        pos = np.linspace(1e-6, 1.0, n)
-        if np.any(1.0 - self.correlation(pos) < self.beta(pos) - 1e-12):
-            raise ValueError("1 - Gamma < beta on (0, 1]")
-        # integral of x/beta(x) over (0, eps] must be finite
-        val = adaptive_simpson(lambda u: u / max(self.beta(u), 1e-300), 1e-12, 0.5)
-        if not math.isfinite(val):
-            raise ValueError("x/beta(x) not integrable at 0")
-
 
 MotionModel = Union[DiffusionSpec, HarrisSpec]
 
@@ -181,7 +164,8 @@ def bridge_cross_probability(d0: float, d1: float, dt: float,
 # stepping kernel
 
 
-def collapse_proposals(prop: np.ndarray, merge_next: np.ndarray):
+def collapse_proposals(prop: np.ndarray, merge_next: np.ndarray,
+                       segments: Optional[np.ndarray] = None):
     """Collapse post-step proposals into merged clusters.
 
     merge_next[i] marks that original adjacent clusters (i, i+1) met inside
@@ -190,6 +174,11 @@ def collapse_proposals(prop: np.ndarray, merge_next: np.ndarray):
     (count-weighted) merges, so output positions are strictly increasing.
     Returns (positions, starts, counts): group g covers original cluster
     indices starts[g] .. starts[g]+counts[g]-1.
+
+    segments, if given, are the offsets that cut prop into independent
+    systems, as in propose_diffusion_step: merge_next flags no pair across
+    a cut, positions increase strictly within each segment only, and no
+    cascade folds across a cut.
     """
     n = prop.size
     if n == 0:
@@ -204,14 +193,29 @@ def collapse_proposals(prop: np.ndarray, merge_next: np.ndarray):
         return prop.copy(), starts, np.ones(n, dtype=np.int64)
     counts = np.diff(np.append(starts, n))
     pos = np.add.reduceat(prop, starts) / counts
-    if np.all(pos[1:] > pos[:-1]):
+    rising = pos[1:] > pos[:-1]
+    head = None
+    if segments is not None:
+        # the group each later segment opens with; the group before it
+        # belongs to another system
+        head = np.searchsorted(starts, segments[1:-1])
+        head = head[(head > 0) & (head < starts.size)]
+        rising[head - 1] = True
+    if rising.all():
         return pos, starts, counts
     # rare: a run mean crossed its neighbour; fold with count weights
+    opens = np.zeros(starts.size, dtype=bool)
+    if head is not None:
+        opens[head] = True
     ps: list = []
     ss: list = []
     cs: list = []
-    for p, s, c in zip(pos.tolist(), starts.tolist(), counts.tolist()):
-        while ps and p <= ps[-1]:
+    floor = 0
+    for p, s, c, o in zip(pos.tolist(), starts.tolist(), counts.tolist(),
+                          opens.tolist()):
+        if o:
+            floor = len(ps)
+        while len(ps) > floor and p <= ps[-1]:
             p0, c0 = ps.pop(), cs.pop()
             s = ss.pop()
             p = (p0 * c0 + p * c) / (c0 + c)
@@ -255,10 +259,10 @@ def _bridge_exponent(spec: DiffusionSpec, x: np.ndarray, d1: np.ndarray,
 
 
 def propose_diffusion_step(spec: DiffusionSpec, positions: np.ndarray,
-                           time: float, dt: float,
-                           gen: np.random.Generator,
+                           time: float, dt: float, gen,
                            use_bridge: bool = True,
-                           time_drift: Optional[Callable] = None):
+                           time_drift: Optional[Callable] = None,
+                           segments: Optional[np.ndarray] = None):
     """One Euler-Maruyama step for all clusters plus per-adjacent-pair merge
     decisions (sign change always merges; otherwise the frozen-coefficient
     bridge law with variance rate b(x_i)^2 + b(x_j)^2 decides).
@@ -268,21 +272,49 @@ def propose_diffusion_step(spec: DiffusionSpec, positions: np.ndarray,
     the innermost loop of every skeleton build.  time_drift(t) adds a
     spatially constant, time-dependent drift; it exists solely for
     negative-control fixtures and is None in production use.
+
+    Lockstep systems: gen may instead be a sequence of m generators, with
+    segments the m + 1 nondecreasing offsets (0 first, n last) that cut
+    positions into m independent systems, each strictly increasing.  System
+    i draws from gen[i] exactly what a one-generator call on its segment
+    draws; a pair across a cut is never flagged or drawn for.
     """
     x = positions
-    prop, b = _euler_proposal(spec, x, gen.standard_normal(x.size), dt)
+    if segments is None:
+        z = gen.standard_normal(x.size)
+    else:
+        bounds = segments.tolist()
+        z = np.empty(x.size)
+        for g, a, b in zip(gen, bounds[:-1], bounds[1:]):
+            if b > a:
+                g.standard_normal(out=z[a:b])
+    prop, b = _euler_proposal(spec, x, z, dt)
     if time_drift is not None:
         prop = prop + time_drift(time) * dt
     if x.size < 2:
         return prop, np.zeros(0, dtype=bool)
     d1 = prop[1:] - prop[:-1]
     flags = d1 <= 0.0
-    if use_bridge and not flags.all():
-        open_pair = ~flags
+    open_pair = ~flags
+    if segments is not None:
+        cut = segments[1:-1] - 1
+        cut = cut[(cut >= 0) & (cut < flags.size)]
+        flags[cut] = False
+        open_pair[cut] = False
+    if use_bridge and open_pair.any():
         expo = _bridge_exponent(spec, x, d1, b, dt)[open_pair]
-        hit = gen.random(expo.size) < np.exp(expo)
+        if segments is None:
+            u = gen.random(expo.size)
+        else:
+            # open pairs before each segment's first pair
+            before = np.concatenate(([0], np.cumsum(open_pair)))
+            ub = before[np.minimum(segments, flags.size)].tolist()
+            u = np.empty(expo.size)
+            for g, a, c in zip(gen, ub[:-1], ub[1:]):
+                if c > a:
+                    g.random(out=u[a:c])
+        hit = u < np.exp(expo)
         if hit.any():
-            flags = flags.copy()
             flags[open_pair] = hit
     return prop, flags
 
@@ -324,7 +356,8 @@ def step_system(model: MotionModel, positions: np.ndarray, time: float,
     positions: the model's proposal step, then collapse_proposals.
 
     Returns (positions, starts, counts) as collapse_proposals does; the
-    skeleton builder runs the same two kernels on the same draws.
+    skeleton builder runs the same two kernels on the same draws, and both
+    paths add a model's time_drift (the drift-injected fixture) as it does.
 
     Lockstep pairs: gen may instead be a sequence of m generators, with
     positions an (m, 2) array of m independent pairs of a DiffusionSpec,
@@ -335,15 +368,17 @@ def step_system(model: MotionModel, positions: np.ndarray, time: float,
     columns, and the (m,) bool mask of the pairs that merged in this step.
     """
     if not isinstance(gen, np.random.Generator):
-        return _step_pairs(model, positions, dt, gen)
+        return _step_pairs(model, positions, time, dt, gen)
     if isinstance(model, HarrisSpec):
         prop, flags = propose_harris_step(model, positions, dt, gen)
     else:
-        prop, flags = propose_diffusion_step(model, positions, time, dt, gen)
+        prop, flags = propose_diffusion_step(
+            model, positions, time, dt, gen,
+            time_drift=getattr(model, "time_drift", None))
     return collapse_proposals(prop, flags)
 
 
-def _step_pairs(spec: DiffusionSpec, x: np.ndarray, dt: float,
+def _step_pairs(spec: DiffusionSpec, x: np.ndarray, time: float, dt: float,
                 gens: Sequence[np.random.Generator]):
     """step_system on an (m, 2) batch of independent pairs; see there."""
     if not isinstance(spec, DiffusionSpec):
@@ -352,6 +387,9 @@ def _step_pairs(spec: DiffusionSpec, x: np.ndarray, dt: float,
     for i, g in enumerate(gens):
         g.standard_normal(out=z[i])
     prop, b = _euler_proposal(spec, x, z, dt)
+    time_drift = getattr(spec, "time_drift", None)
+    if time_drift is not None:
+        prop = prop + time_drift(time) * dt
     d1 = prop[:, 1:] - prop[:, :-1]
     merged = (d1 <= 0.0).ravel()
     open_pair = ~merged

@@ -8,8 +8,21 @@ share storage through their absorbing trajectory once merged.
 
 The builder lays out the trajectory table (start value, activation step,
 parent, merge step) before it steps, keeps the live clusters as numpy arrays
-(ids, positions) and records them once per step: grouped by id, the records
-are the histories, and an observed step's record is its cluster snapshot.
+(ids, positions) and records the positions once per step and the ids at
+each injection: merges keep the order of the live clusters, so the ids
+place every record, and grouped by id the records are the histories (one
+flat array in id order, with offsets).  An observed step's live arrays are
+its cluster snapshot.
+
+One engine builds a block of independent replicas in lockstep: their live
+clusters lie end to end in the live arrays, one segment per replica, and
+each step's proposal, bridge test, collapse and merge bookkeeping run once
+over the block.  Every replica keeps its own generator and draws from it
+what it would draw built alone (Philox streams are addressed by counter, so
+a replica's draws do not depend on its block), and no pair across a
+segment cut is flagged, drawn for or folded, so each skeleton of a block is
+bit-identical to its one-stream build.  The segment offsets change only at
+merges and injections; a one-replica build passes none to the kernels.
 
 Ids run in activation order, a merge keeps the least id of its group, and a
 starter merged at injection points at a live id or at an earlier starter of
@@ -25,7 +38,8 @@ import json
 import math
 import numbers
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Union
 
@@ -39,6 +53,11 @@ from .reports import TestReport, bound_report, exact_report
 from .rng import RngStream
 
 _SNAP_TOL = 1e-9
+# most time steps, lattice points, start rows or trajectories a config may
+# ask for; checked arithmetically before any grid array is made
+MAX_GRID = 10_000_000
+# live entries of build records scattered into the history array at a time
+_SCATTER_ENTRIES = 8192
 _MAGIC = b"CFSK"
 _FORMAT_VERSION = 1
 
@@ -81,6 +100,13 @@ def _tuple(v, what: str) -> tuple:
     return tuple(v)
 
 
+def _capped(what: str, size: float) -> float:
+    """size, or a ConfigError when it exceeds MAX_GRID (or is not finite)."""
+    if not size <= MAX_GRID:
+        raise ConfigError(f"{size:.4g} {what} exceed the cap of {MAX_GRID:,}")
+    return size
+
+
 def _pair(v, what: str) -> tuple:
     """A pair of finite numbers, as a tuple."""
     v = _tuple(v, what)
@@ -117,6 +143,8 @@ class SkeletonConfig:
         c, cp = self.window
         if not (cp >= c and self.dx > 0 and self.dt > 0 and self.t1 > self.t0):
             raise ConfigError("need c' >= c, dx > 0, dt > 0, t1 > t0")
+        _capped("time steps", (self.t1 - self.t0) / self.dt)
+        _capped("lattice points", (cp - c) / self.dx)
         put("start_times", _tuple(self.start_times, "start_times"))
         put("extra_starts", tuple(_pair(p, "extra start") for p in
                                   _tuple(self.extra_starts, "extra_starts")))
@@ -134,6 +162,9 @@ class SkeletonConfig:
             raise ConfigError("need at least one start row")
         if tuple(sorted(self.start_times)) != self.start_times:
             raise ConfigError("start_times must be sorted")
+        n_rows = len({self.snap_index(s) for s in self.start_times})
+        _capped("trajectories",
+                n_rows * self.lattice_size() + len(self.extra_starts))
 
     @staticmethod
     def rows(window, dx, t0, t1, dt, model, row_period=None, start_times=None,
@@ -149,7 +180,8 @@ class SkeletonConfig:
             if row_period <= 0:
                 raise ConfigError(f"row_period must be positive, "
                                   f"got {row_period}")
-            n = int(math.floor((t1 - t0) / row_period + _SNAP_TOL))
+            n = int(math.floor(_capped("start rows",
+                                       (t1 - t0) / row_period + _SNAP_TOL)))
             start_times = tuple(t0 + i * row_period for i in range(n + 1))
         return SkeletonConfig(window=window, dx=dx, t0=t0, t1=t1, dt=dt,
                               start_times=start_times, model=model,
@@ -162,10 +194,12 @@ class SkeletonConfig:
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.n_steps + 1)
 
-    def lattice(self) -> np.ndarray:
+    def lattice_size(self) -> int:
         c, cp = self.window
-        n = int(math.floor((cp - c) / self.dx + _SNAP_TOL))
-        return c + self.dx * np.arange(n + 1)
+        return int(math.floor((cp - c) / self.dx + _SNAP_TOL)) + 1
+
+    def lattice(self) -> np.ndarray:
+        return self.window[0] + self.dx * np.arange(self.lattice_size())
 
     def snap_index(self, t: float) -> int:
         k = round((t - self.t0) / self.dt)
@@ -174,6 +208,24 @@ class SkeletonConfig:
         if abs(self.t0 + k * self.dt - t) > _SNAP_TOL:
             raise OffGridTime(f"time {t} not on the dt grid")
         return int(k)
+
+    def until(self, k: int) -> "SkeletonConfig":
+        """The same grid cut at step k >= 1: t1 moves to grid time k, and
+        the start rows, extra starts and observed times after it are
+        dropped.  Building on the cut config draws what the first k steps of
+        a build on self draw, so the result is that build's prefix in every
+        array.  self is returned when nothing is cut, or when no start row
+        would be left."""
+        def kept(ts):
+            return tuple(s for s in ts if self.snap_index(s) <= k)
+        if k >= self.n_steps or not kept(self.start_times):
+            return self
+        return replace(
+            self, t1=self.t0 + k * self.dt, start_times=kept(self.start_times),
+            observe=(self.observe if self.observe == "all"
+                     else kept(self.observe)),
+            extra_starts=tuple(p for p in self.extra_starts
+                               if self.snap_index(p[0]) <= k))
 
     def to_dict(self) -> dict:
         return {
@@ -200,13 +252,15 @@ class SkeletonFlow:
 
     A trajectory's own history covers steps [act, merge_step); from its merge
     step on, positions are read through the absorbing trajectory, so merged
-    tails are stored exactly once and equality after merging is exact.
+    tails are stored exactly once and equality after merging is exact.  The
+    histories lie end to end in id order in one flat array: trajectory i's
+    is flat[offsets[i]:offsets[i + 1]].
     """
 
     def __init__(self, config: SkeletonConfig, seed: int, path: tuple,
                  u0: np.ndarray, act: np.ndarray, parent: np.ndarray,
-                 merge_step: np.ndarray, hist: list,
-                 snapshots: Optional[dict] = None):
+                 merge_step: np.ndarray, flat: np.ndarray,
+                 offsets: np.ndarray, snapshots: Optional[dict] = None):
         self.config = config
         self.seed = seed
         self.rng_path = tuple(path)
@@ -215,9 +269,17 @@ class SkeletonFlow:
         self.act = act
         self.parent = parent
         self.merge_step = merge_step
-        self.hist = hist
+        self.flat = flat
+        self.offsets = offsets
         self.snapshots = snapshots or {}
         self._lazy_cache: dict = {}
+
+    @cached_property
+    def hist(self) -> list:
+        """Per-trajectory history views of the flat array, made on first
+        use (for inspection; the flow itself reads the flat array)."""
+        off = self.offsets.tolist()
+        return [self.flat[a:b] for a, b in zip(off[:-1], off[1:])]
 
     # -- basic geometry ----------------------------------------------------
 
@@ -246,7 +308,7 @@ class SkeletonFlow:
         if k < self.act[tid]:
             return float(self.u0[tid])
         j = self.resolve(tid, k)
-        return float(self.hist[j][k - self.act[j]])
+        return float(self.flat[self.offsets[j] + k - self.act[j]])
 
     def series(self, tid: int, k_from: int, k_to: int) -> np.ndarray:
         """Positions of tid at steps k_from..k_to inclusive: u0 before
@@ -257,7 +319,8 @@ class SkeletonFlow:
         while k <= k_to:
             a, m = int(self.act[j]), int(self.merge_step[j])
             end = max(k, k_to + 1 if m < 0 else min(m, k_to + 1))
-            parts.append(self.hist[j][k - a:end - a])
+            o = int(self.offsets[j]) - a
+            parts.append(self.flat[o + k:o + end])
             k, j = end, int(self.parent[j])
         return np.concatenate(parts)
 
@@ -280,8 +343,7 @@ class SkeletonFlow:
         ms = self.merge_step
         ids = np.flatnonzero((self.act <= k) & ((ms < 0) | (ms > k)))
         minact = self.act[ids]
-        pos = np.array([self.hist[j][k - a] for j, a in
-                        zip(ids.tolist(), minact.tolist())], dtype=float)
+        pos = self.flat[self.offsets[ids] + (k - minact)]
         order = np.argsort(pos, kind="stable")
         snap = (ids[order], pos[order], minact[order])
         self._lazy_cache[k] = snap
@@ -305,8 +367,7 @@ class SkeletonFlow:
     def save(self, path) -> Path:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        lens = np.array([len(h) for h in self.hist], dtype=np.int64)
-        flat = np.concatenate([np.zeros(0), *self.hist])
+        lens = np.diff(self.offsets)
         header = {
             "format": "coalflow-skeleton",
             "version": _FORMAT_VERSION,
@@ -323,7 +384,7 @@ class SkeletonFlow:
             fh.write(hb)
             for arr, dtype in ((self.u0, "<f8"), (self.act, "<i8"),
                                (self.parent, "<i8"), (self.merge_step, "<i8"),
-                               (lens, "<i8"), (flat, "<f8")):
+                               (lens, "<i8"), (self.flat, "<f8")):
                 a = np.asarray(arr).astype(dtype)
                 fh.write(struct.pack("<Q", a.nbytes))
                 fh.write(a.tobytes())
@@ -359,16 +420,10 @@ class SkeletonFlow:
         if (any(a.size != n_traj for a in arrays[:5])
                 or np.any(lens < 0) or int(lens.sum()) != flat.size):
             raise ConfigError("snapshot block lengths disagree")
-        hist = _split_hist(flat.copy(), lens)
         return SkeletonFlow(cfg, seed, rng_path, u0.copy(),
                             act.astype(np.int64), parent.astype(np.int64),
-                            merge_step.astype(np.int64), hist)
-
-
-def _split_hist(flat: np.ndarray, lens: np.ndarray) -> list:
-    """Per-trajectory views of a flat history block of the given lengths."""
-    off = np.concatenate([[0], np.cumsum(lens)]).tolist()
-    return [flat[a:b] for a, b in zip(off[:-1], off[1:])]
+                            merge_step.astype(np.int64), flat.copy(),
+                            np.concatenate(([0], np.cumsum(lens))))
 
 
 def _read_exact(fh, n: int) -> bytes:
@@ -379,7 +434,7 @@ def _read_exact(fh, n: int) -> bytes:
     return data
 
 
-def build_skeleton(config: SkeletonConfig, rng: RngStream) -> SkeletonFlow:
+def build_skeleton(config: SkeletonConfig, rng):
     """Run the grid injection + coalescing stepping loop.
 
     The trajectory table is laid out first: ids run in step order, and
@@ -388,9 +443,28 @@ def build_skeleton(config: SkeletonConfig, rng: RngStream) -> SkeletonFlow:
     merged cluster keeps its least id; the ids it absorbs get it as parent
     and k as merge step), injects step k's starters (one landing exactly on
     a live position, or on an earlier starter of the step, merges at
-    injection) and records the live arrays.
+    injection) and records the live positions.
+
+    rng may instead be a sequence of m RngStreams, for m independent
+    replicas built in lockstep; one SkeletonFlow per stream is returned, in
+    order.  Replica r draws from its own stream exactly what a one-stream
+    build draws, so each result is bit-identical to build_skeleton(config,
+    rng[r]).  The replicas' live clusters lie end to end in one array, cut
+    into one segment per replica, so each step's proposal, bridge test,
+    collapse and merge bookkeeping run once for the whole block.  Harris
+    models build one stream at a time (a block of more raises TypeError).
     """
+    # replica r's trajectory i has the block id r * n + i (n trajectories a
+    # replica), and replica r's live clusters are live_*[seg[r]:seg[r + 1]]
+    rngs = [rng] if isinstance(rng, RngStream) else list(rng)
+    if not rngs:
+        return []
     model = config.model
+    m = len(rngs)
+    lockstep = m > 1
+    harris = isinstance(model, HarrisSpec)
+    if harris and lockstep:
+        raise TypeError("lockstep skeleton builds need a DiffusionSpec")
     K = config.n_steps
     times = config.times()
     lattice = config.lattice()
@@ -402,34 +476,39 @@ def build_skeleton(config: SkeletonConfig, rng: RngStream) -> SkeletonFlow:
     act = steps[order]
     u0 = np.concatenate([np.tile(lattice, row_steps.size),
                          [float(u) for _, u in config.extra_starts]])[order]
-    parent = np.arange(u0.size)
-    merge_step = np.full(u0.size, -1, dtype=np.int64)
+    n = u0.size
+    parent = np.arange(m * n)
+    merge_step = np.full(m * n, -1, dtype=np.int64)
     first = np.searchsorted(act, np.arange(K + 2))  # ids first[k]:first[k+1]
     observed = (range(K + 1) if config.observe == "all"
                 else {config.snap_index(t) for t in config.observe})
 
-    gen = rng.generator()
+    gens = [r.generator() for r in rngs]
+    gen = gens if lockstep else gens[0]
     time_drift = getattr(model, "time_drift", None)
     live_id = np.zeros(0, dtype=np.int64)
     live_pos = np.zeros(0)
-    rec_id, rec_pos, snapshots = [], [], {}
+    seg = np.zeros(m + 1, dtype=np.int64)
+    records, injected, snaps = [], [], {}
     for k in range(K + 1):
         if k and live_pos.size:
-            if isinstance(model, HarrisSpec):
+            if harris:
                 prop, flags = propose_harris_step(model, live_pos, config.dt,
                                                   gen)
             else:
                 prop, flags = propose_diffusion_step(
                     model, live_pos, float(times[k - 1]), config.dt, gen,
-                    time_drift=time_drift)
+                    time_drift=time_drift, segments=seg if lockstep else None)
             if flags.any():
-                live_pos, starts, counts = collapse_proposals(prop, flags)
+                live_pos, starts, counts = collapse_proposals(
+                    prop, flags, seg if lockstep else None)
                 keep = np.minimum.reduceat(live_id, starts)
                 owner = np.repeat(keep, counts)
                 gone = owner != live_id
                 parent[live_id[gone]] = owner[gone]
                 merge_step[live_id[gone]] = k
                 live_id = keep
+                seg = np.searchsorted(starts, seg)
             else:
                 live_pos = prop
         lo, hi = first[k], first[k + 1]
@@ -438,32 +517,66 @@ def build_skeleton(config: SkeletonConfig, rng: RngStream) -> SkeletonFlow:
             # each starter's host: the live cluster it lands on, else the
             # step's first starter at its value (itself when it is fresh)
             _, at, inv = np.unique(new, return_index=True, return_inverse=True)
-            host = lo + at[inv]
-            if live_pos.size:
-                j = np.minimum(np.searchsorted(live_pos, new),
-                               live_pos.size - 1)
-                on_live = live_pos[j] == new
-                host[on_live] = live_id[j[on_live]]
-            fresh = host == np.arange(lo, hi)
-            parent[lo:hi] = host
-            merge_step[lo:hi][~fresh] = k
-            pos = np.concatenate([live_pos, new[fresh]])
-            order = np.argsort(pos, kind="stable")
-            live_pos = pos[order]
-            live_id = np.concatenate([live_id, host[fresh]])[order]
+            ids, pos = [], []
+            for r, a, b in zip(range(0, m * n, n), seg[:-1].tolist(),
+                               seg[1:].tolist()):
+                host = r + lo + at[inv]
+                if b > a:
+                    j = a + np.minimum(np.searchsorted(live_pos[a:b], new),
+                                       b - a - 1)
+                    on_live = live_pos[j] == new
+                    host[on_live] = live_id[j[on_live]]
+                fresh = host == np.arange(r + lo, r + hi)
+                parent[r + lo:r + hi] = host
+                merge_step[r + lo:r + hi][~fresh] = k
+                p = np.concatenate([live_pos[a:b], new[fresh]])
+                order = np.argsort(p, kind="stable")
+                pos.append(p[order])
+                ids.append(np.concatenate([live_id[a:b], host[fresh]])[order])
+            seg = np.concatenate(([0], np.cumsum([p.size for p in pos])))
+            live_pos, live_id = np.concatenate(pos), np.concatenate(ids)
+            injected.append((k, live_id))
         # the live arrays are replaced, never written in place, so the
         # records and snapshots can share them
-        rec_id.append(live_id)
-        rec_pos.append(live_pos)
+        records.append(live_pos)
         if k in observed:
-            snapshots[k] = (live_id, live_pos, act[live_id])
+            snaps[k] = (live_id, live_pos, seg)
 
-    ids = np.concatenate(rec_id)
-    lens = np.bincount(ids, minlength=u0.size)
-    hist = _split_hist(np.concatenate(rec_pos)[np.argsort(ids, kind="stable")],
-                       lens)
-    return SkeletonFlow(config, rng.seed, rng.path, u0, act, parent,
-                        merge_step, hist, snapshots=snapshots)
+    # Own history lengths follow from act and merge_step.  Merges keep the
+    # order of the live clusters, so the live ids at a step are those of
+    # the last injection still live, in its order: scatter each step's
+    # positions into their id-ordered places, a run of steps at a time,
+    # freeing the records as they go.
+    ends = np.where(merge_step < 0, K + 1, merge_step)
+    act_all = np.tile(act, m)
+    offsets = np.concatenate(([0], np.cumsum(ends - act_all)))
+    flat = np.empty(int(offsets[-1]))
+    at_step0 = offsets[:-1] - act_all
+    b = K + 1
+    for a, ids in reversed(injected):
+        run = max(1, _SCATTER_ENTRIES // max(ids.size, 1))
+        for k0 in range(a, b, run):
+            ids = ids[ends[ids] > k0]
+            ks = np.arange(k0, min(k0 + run, b))[:, None]
+            flat[(at_step0[ids] + ks)[ends[ids] > ks]] = np.concatenate(
+                records[k0:k0 + ks.size])
+        del records[a:]
+        b = a
+    flows = []
+    for r, stream in enumerate(rngs):
+        a, b = r * n, (r + 1) * n
+        snapshots = {}
+        for k, (ids, pos, sg) in snaps.items():
+            ids, pos = ids[sg[r]:sg[r + 1]], pos[sg[r]:sg[r + 1]]
+            if r:
+                ids = ids - a
+            snapshots[k] = (ids, pos, act[ids])
+        flows.append(SkeletonFlow(
+            config, stream.seed, stream.path, u0, act,
+            parent[a:b] - a, merge_step[a:b],
+            flat[offsets[a]:offsets[b]], offsets[a:b + 1] - offsets[a],
+            snapshots=snapshots))
+    return flows[0] if isinstance(rng, RngStream) else flows
 
 
 # ---------------------------------------------------------------------------

@@ -141,12 +141,6 @@ def _dcov_sum(blocks, Dy: np.ndarray, p: np.ndarray) -> float:
     return total
 
 
-def distance_correlation(x: np.ndarray, y: np.ndarray) -> float:
-    blocks, Dy, scale = _dcor_setup(x, y)
-    dcov = _dcov_sum(blocks, Dy, np.arange(len(Dy)))
-    return math.sqrt(max(dcov, 0.0) / scale)
-
-
 def distance_correlation_test(x: np.ndarray, y: np.ndarray, rng: RngStream,
                               permutations: int = 199):
     """Permutation independence test on the distance correlation; returns

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -26,6 +27,9 @@ from .reports import TestReport, bound_report, pvalue_report
 from .rng import RngStream
 from .skeleton import SkeletonConfig, build_skeleton, cluster_count_bound
 from .stats import energy_two_sample, ks_against_normal, ks_two_sample
+
+# replicas per lockstep skeleton build in shift_invariance_samples
+SHIFT_BLOCK = 8
 
 
 # ---------------------------------------------------------------------------
@@ -360,14 +364,33 @@ class DriftInjectedSpec(DiffusionSpec):
 
 def shift_invariance_samples(config: SkeletonConfig, queries, h: float,
                              replicas: int, rng: RngStream) -> np.ndarray:
-    """Evaluate theta_h-shifted queries on fresh independent skeletons."""
+    """Evaluate theta_h-shifted queries on fresh independent skeletons.
+
+    Replica r's skeleton is built from rng.child(r), SHIFT_BLOCK replicas
+    in lockstep, on config cut at the last shifted query time (the latest
+    t + h; SkeletonConfig.until).  A lockstep build draws for each replica
+    what its one-stream build draws, and the cut build is the full build's
+    prefix, so every value equals that of a full-horizon skeleton built
+    alone from rng.child(r).
+    """
+    off = Fraction(h)
+    k_end = max((config.snap_index(float(Fraction(t) + off))
+                 for _, _, t in queries), default=config.n_steps)
+    cut = config.until(max(k_end, 1))
     vals = np.empty((replicas, len(queries)), dtype=float)
-    for r in range(replicas):
-        skel = build_skeleton(config, rng.child(r))
-        fe = shift(skeleton_flow_element(skel), h)
-        for qi, (s, x, t) in enumerate(queries):
-            vals[r, qi] = float(evaluate(fe, EvalQuery(s, x, t)))
+    for lo in range(0, replicas, SHIFT_BLOCK):
+        streams = [rng.child(r)
+                   for r in range(lo, min(lo + SHIFT_BLOCK, replicas))]
+        # a block is dropped before the next one is built
+        vals[lo:lo + len(streams)] = [
+            _shifted_values(skel, queries, h)
+            for skel in build_skeleton(cut, streams)]
     return vals
+
+
+def _shifted_values(skel, queries, h: float) -> list:
+    fe = shift(skeleton_flow_element(skel), h)
+    return [float(evaluate(fe, EvalQuery(s, x, t))) for s, x, t in queries]
 
 
 def test_shift_invariance(config: SkeletonConfig, hs, queries, replicas: int,

@@ -48,7 +48,10 @@ def test_config_validation():
     {"t1": float("inf")}, {"t0": float("nan")}, {"dx": "a"},
     {"row_period": 0}, {"row_period": -0.05}, {"observe": "everything"},
     {"observe": [0.00037]}, {"start_times": [0.1, "x"]},
-    {"row_perod": 0.05}])
+    {"row_perod": 0.05},
+    # grids above the cap, refused before any array is made
+    {"window": [0, 1e9], "dx": 1e-9}, {"dt": 1e-12}, {"row_period": 1e-12},
+    {"window": [0, 1e3], "dx": 1e-3, "row_period": 1e-3}])
 def test_bad_skeleton_config_exits_2(tmp_path, capsys, skeleton):
     base = json.loads(write_config(tmp_path).read_text())["skeleton"]
     cfg_path = write_config(tmp_path, skeleton={**base, **skeleton})

@@ -10,10 +10,12 @@ from coalflow.errors import (EmptyStarts, InvalidGap, NegativeDuration,
 from coalflow.motions import (DiffusionSpec, HarrisSpec,
                               bridge_cross_probability, collapse_proposals,
                               pair_no_meet_probability_exact,
-                              propose_harris_step, sample_npoint_motion,
-                              scale_function, step_system)
+                              propose_diffusion_step, propose_harris_step,
+                              sample_npoint_motion, scale_function,
+                              step_system)
 from coalflow.rng import RngStream
 from coalflow.skeleton import SkeletonConfig, build_skeleton
+from coalflow.verify import DriftInjectedSpec
 
 # Independent quadrature oracle (fine-grid Simpson, run before the build):
 # int_0^1 exp(y^2) dy
@@ -192,6 +194,68 @@ def test_collapse_proposals_invariants(case):
     assert np.all(group[:-1][flags] == group[1:][flags])
 
 
+@st.composite
+def _segmented_proposals(draw):
+    """One to five independent systems end to end, each a case of
+    _proposals_and_flags, with the pairs across their cuts unflagged."""
+    parts = draw(st.lists(_proposals_and_flags(), min_size=1, max_size=5))
+    prop = np.concatenate([p for p, _ in parts])
+    flags = np.concatenate(
+        [np.append(f, False) for _, f in parts])[:-1]
+    sizes = [p.size for p, _ in parts]
+    return parts, prop, flags, np.concatenate(([0], np.cumsum(sizes)))
+
+
+@given(_segmented_proposals())
+def test_collapse_proposals_segments_equal_one_call_each(case):
+    """A segmented collapse is the per-segment collapses end to end: no
+    group and no cascade crosses a cut."""
+    parts, prop, flags, seg = case
+    pos, starts, counts = collapse_proposals(prop, flags, seg)
+    want = [collapse_proposals(p, f) for p, f in parts]
+    assert np.array_equal(pos, np.concatenate([w[0] for w in want]))
+    assert np.array_equal(starts, np.concatenate(
+        [w[1] + a for w, a in zip(want, seg[:-1])]))
+    assert np.array_equal(counts, np.concatenate([w[2] for w in want]))
+
+
+@pytest.mark.parametrize("spec", [
+    DiffusionSpec.arratia(), DiffusionSpec.ornstein_uhlenbeck(1.0, 1.3),
+    DiffusionSpec.generic(lambda x: -np.sin(x),
+                          lambda x: 1.0 + 0.5 * np.cos(x), 1.5),
+    DriftInjectedSpec(kind="arratia", drift_amp=5.0)],
+    ids=["arratia", "ou", "generic", "drift"])
+def test_segmented_diffusion_step_equals_one_call_per_segment(spec):
+    """Each segment of a lockstep proposal draws from its own generator
+    what a one-generator call on it draws; pairs across a cut (here often
+    out of order or equal) are neither flagged nor drawn for, and empty and
+    one-point segments draw nothing."""
+    dt = 1e-2
+    rng = RngStream(13, (0,))
+    gen = rng.child(99).generator()
+    systems = [np.sort(gen.uniform(0.0, 0.3, size)) for size in
+               (5, 0, 1, 12, 2, 0, 7, 3)]
+    systems[4] = systems[3][:2]         # equal values across a cut
+    x = np.concatenate(systems)
+    seg = np.concatenate(([0], np.cumsum([a.size for a in systems])))
+    gens = [rng.child(r).generator() for r in range(len(systems))]
+    prop, flags = propose_diffusion_step(
+        spec, x, 0.3, dt, gens, time_drift=getattr(spec, "time_drift", None),
+        segments=seg)
+    for r, a in enumerate(systems):
+        lone = rng.child(r).generator()
+        want_p, want_f = propose_diffusion_step(
+            spec, a, 0.3, dt, lone,
+            time_drift=getattr(spec, "time_drift", None))
+        lo, hi = seg[r], seg[r + 1]
+        assert np.array_equal(prop[lo:hi], want_p)
+        assert np.array_equal(flags[lo:max(lo, hi - 1)], want_f)
+        if 0 < hi < x.size:
+            assert not flags[hi - 1]
+        assert gens[r].random() == lone.random()
+    assert flags.any() and not flags.all()
+
+
 def test_step_preserves_order_and_permanence():
     spec = DiffusionSpec.arratia()
     gen = RngStream(5, (1,)).generator()
@@ -268,10 +332,12 @@ def test_determinism_bit_identical():
 
 @pytest.mark.parametrize("model", [
     DiffusionSpec.arratia(), DiffusionSpec.ornstein_uhlenbeck(1.0, 2.0),
-    HarrisSpec(gamma=1.0)], ids=["arratia", "ou", "harris"])
+    HarrisSpec(gamma=1.0), DriftInjectedSpec(kind="arratia", drift_amp=5.0)],
+    ids=["arratia", "ou", "harris", "drift"])
 def test_npoint_sampler_equals_one_row_skeleton(model):
     """The n-point sampler and a one-row skeleton run the same kernels on
-    the same stream, so every particle agrees at every step."""
+    the same stream, so every particle agrees at every step (the drift
+    spec's time drift included)."""
     cfg = SkeletonConfig(window=(0.0, 1.0), dx=1.0 / 32, t0=0.0, t1=0.3,
                          dt=1e-3, start_times=(0.0,), model=model)
     skel = build_skeleton(cfg, RngStream(5, (1,)))
@@ -289,7 +355,6 @@ def test_npoint_sampler_equals_one_row_skeleton(model):
 
 
 def test_harris_spec_validates():
-    HarrisSpec(gamma=1.0).validate()
     with pytest.raises(ValueError):
         HarrisSpec(gamma=-1.0)
 

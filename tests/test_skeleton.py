@@ -12,6 +12,7 @@ from coalflow.rng import RngStream
 from coalflow.skeleton import (SkeletonConfig, SkeletonFlow, SpCheckPlan,
                                build_skeleton, check_sp_properties)
 from coalflow.stats import ks_against_normal
+from coalflow.verify import DriftInjectedSpec
 
 
 def small_config(**kw):
@@ -152,6 +153,101 @@ def test_snapshot_min_act_is_act_of_live_id(make):
     assert sorted(skel.snapshots) == list(range(skel.n_steps + 1))
     for ids, _, minact in skel.snapshots.values():
         assert np.array_equal(minact, skel.act[ids])
+
+
+def _assert_same_build(got, want):
+    """Every array of two builds equal, dtypes included."""
+    assert (got.seed, got.rng_path) == (want.seed, want.rng_path)
+    for name in ("u0", "act", "parent", "merge_step", "flat", "offsets"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert len(got.hist) == len(want.hist)
+    for a, b in zip(got.hist, want.hist):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert sorted(got.snapshots) == sorted(want.snapshots)
+    for k, snap in want.snapshots.items():
+        for a, b in zip(got.snapshots[k], snap):
+            assert a.dtype == b.dtype and np.array_equal(a, b), k
+
+
+GENERIC = DiffusionSpec.generic(lambda x: -np.sin(x),
+                                lambda x: 1.0 + 0.5 * np.cos(x), 1.5)
+
+
+@pytest.mark.parametrize("width", [1, 3, 8])
+@pytest.mark.parametrize("model", [
+    DiffusionSpec.arratia(), DiffusionSpec.ornstein_uhlenbeck(1.0, 1.3),
+    GENERIC, DriftInjectedSpec(kind="arratia", drift_amp=1.5)],
+    ids=["arratia", "ou", "generic", "drift"])
+def test_lockstep_block_equals_one_stream_builds(model, width):
+    cfg = small_config(t1=0.3, row_period=0.05, model=model,
+                       observe=(0.1, 0.25))
+    rng = RngStream(21, (3,))
+    streams = [rng.child(r) for r in range(width)]
+    block = build_skeleton(cfg, streams)
+    assert len(block) == width
+    for skel, stream in zip(block, streams):
+        _assert_same_build(skel, build_skeleton(cfg, stream))
+    if width == 1:
+        assert build_skeleton(cfg, []) == []
+    else:
+        # the replicas step at different live counts
+        sizes = np.array([[skel.clusters_at_index(k)[0].size
+                           for skel in block] for k in range(cfg.n_steps)])
+        assert np.any(sizes.min(axis=1) < sizes.max(axis=1))
+
+
+def test_lockstep_block_with_colliding_starters():
+    """Rows landing on the live clusters of every replica (frozen
+    positions, so equal values meet across every cut) and extra starts on
+    a live position, on each other and on a lattice point."""
+    frozen = DiffusionSpec.generic(lambda x: np.zeros_like(x),
+                                   lambda x: np.full_like(x, 1e-150), 0.0)
+    extras = ((0.01, 0.5), (0.01, 0.123), (0.01, 0.123), (0.015, 0.75))
+    cfg = SkeletonConfig.rows(window=(0.25, 1.0), dx=0.25, t0=0.0, t1=0.02,
+                              dt=1e-3, model=frozen, row_period=0.005,
+                              extra_starts=extras)
+    streams = [RngStream(1, (5, r)) for r in range(3)]
+    block = build_skeleton(cfg, streams)
+    for skel, stream in zip(block, streams):
+        _assert_same_build(skel, build_skeleton(cfg, stream))
+        assert int(np.count_nonzero(skel.merge_step == skel.act)) >= 14
+    colliding = _arratia_colliding_extras().config
+    streams = [RngStream(4, (0,)), RngStream(4, (1,)), RngStream(4, (2,))]
+    for skel, stream in zip(build_skeleton(colliding, streams), streams):
+        _assert_same_build(skel, build_skeleton(colliding, stream))
+
+
+def test_lockstep_block_of_harris_is_one_stream_only():
+    cfg = SkeletonConfig.rows(window=(0.0, 1.0), dx=0.25, t0=0.0, t1=0.02,
+                              dt=1e-3, model=HarrisSpec(gamma=1.0))
+    (skel,) = build_skeleton(cfg, [RngStream(3, (1,))])
+    _assert_same_build(skel, build_skeleton(cfg, RngStream(3, (1,))))
+    with pytest.raises(TypeError):
+        build_skeleton(cfg, [RngStream(3, (1,)), RngStream(3, (2,))])
+
+
+def test_until_builds_the_prefix():
+    cfg = small_config(t1=0.3, extra_starts=((0.1, 0.3), (0.25, 0.7)),
+                       observe=(0.05, 0.1, 0.2, 0.3))
+    k = cfg.snap_index(0.2)
+    cut = cfg.until(k)
+    assert cut.n_steps == k and cut.observe == (0.05, 0.1, 0.2)
+    assert cut.extra_starts == ((0.1, 0.3),)
+    assert cut.start_times == cfg.start_times[:5]
+    assert cfg.until(cfg.n_steps) is cfg
+    late = small_config(start_times=(0.1,))
+    assert late.until(late.snap_index(0.05)) is late
+    full = build_skeleton(cfg, RngStream(2, (9,)))
+    part = build_skeleton(cut, RngStream(2, (9,)))
+    ids = np.flatnonzero(full.act <= k)
+    assert np.array_equal(part.u0, full.u0[ids])
+    assert np.array_equal(part.act, full.act[ids])
+    for i in ids.tolist():
+        assert np.array_equal(part.series(i, 0, k), full.series(i, 0, k))
+    for k_obs, snap in part.snapshots.items():
+        for a, b in zip(snap, full.snapshots[k_obs]):
+            assert np.array_equal(a, b)
 
 
 def test_positions_at_contract():

@@ -5,7 +5,9 @@ import pytest
 
 from coalflow import verify
 from coalflow.motions import DiffusionSpec, HarrisSpec, step_system
+from coalflow.flows import EvalQuery, evaluate, shift, skeleton_flow_element
 from coalflow.rng import RngStream
+from coalflow.skeleton import build_skeleton
 
 OU = DiffusionSpec.ornstein_uhlenbeck(1.0, 1.0)
 GENERIC = DiffusionSpec.generic(lambda x: -np.sin(x),
@@ -216,6 +218,36 @@ def test_stopped_equivalence_rejects_three_starts():
         verify.test_stopped_equivalence(
             DiffusionSpec.arratia(), (0.0, 0.5, 1.0), 1.0, 10,
             RngStream(7, (3,)))
+
+
+def _reference_shift_samples(config, queries, h, replicas, rng):
+    """The per-replica loop the lockstep sampler replaced: each replica's
+    skeleton built alone, over the config's full horizon."""
+    vals = np.empty((replicas, len(queries)), dtype=float)
+    for r in range(replicas):
+        fe = shift(skeleton_flow_element(build_skeleton(config, rng.child(r))),
+                   h)
+        for qi, (s, x, t) in enumerate(queries):
+            vals[r, qi] = float(evaluate(fe, EvalQuery(s, x, t)))
+    return vals
+
+
+@pytest.mark.parametrize("model", [
+    DiffusionSpec.arratia(),
+    verify.DriftInjectedSpec(kind="arratia", drift_amp=1.5)],
+    ids=["arratia", "drift"])
+def test_shift_samples_equal_per_replica_full_horizon_loop(model):
+    from coalflow.bundles import SHIFT_QUERIES
+    queries = SHIFT_QUERIES[:3] + SHIFT_QUERIES[-2:]
+    cfg = verify.shift_invariance_config(
+        model, window=(0.0, 1.0), dx=1.0 / 32, t0=0.0, t1=1.5, dt=2e-3,
+        row_period=0.05, queries=queries, hs=(0.25,))
+    replicas = 2 * verify.SHIFT_BLOCK + 3
+    rng = RngStream(8, (4,))
+    for h in (0.0, 0.25, 0.5):
+        got = verify.shift_invariance_samples(cfg, queries, h, replicas, rng)
+        want = _reference_shift_samples(cfg, queries, h, replicas, rng)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_shift_invariance_small_and_control():
