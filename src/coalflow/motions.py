@@ -244,24 +244,23 @@ def _euler_proposal(spec: DiffusionSpec, x: np.ndarray, z: np.ndarray,
     return x + a * dt + b * sdt * z, b
 
 
-def _bridge_exponent(spec: DiffusionSpec, x: np.ndarray, d1: np.ndarray,
-                     b: Optional[np.ndarray], dt: float) -> np.ndarray:
-    """log P(bridge hit) = -2 d0 d1 / (rate dt) for each pair of neighbours
-    along the last axis of x, where d0 and d1 are their gaps before and
-    after the step and rate = b(x_i)^2 + b(x_j)^2 is frozen at the start."""
-    d0 = x[..., 1:] - x[..., :-1]
+def _bridge_exponent(spec: DiffusionSpec, d0: np.ndarray, d1: np.ndarray,
+                     b: Optional[tuple], dt: float) -> np.ndarray:
+    """log P(bridge hit) = -2 d0 d1 / (rate dt) for gaps d0 and d1 before
+    and after a step, with rate = b_lower^2 + b_upper^2 frozen at the start
+    for b = (b_lower, b_upper), the diffusion coefficients of the two ends
+    (0 for a fixed barrier); b None is the constant rate of two points of
+    the named kinds."""
     if b is None:
         const_rate = (2.0 if spec.kind == "arratia"
                       else 2.0 * spec.sigma * spec.sigma)
         return d0 * d1 * (-2.0 / (const_rate * dt))
-    rate = b[..., :-1] ** 2 + b[..., 1:] ** 2
+    rate = b[0] ** 2 + b[1] ** 2
     return -2.0 * d0 * d1 / (rate * dt)
 
 
 def propose_diffusion_step(spec: DiffusionSpec, positions: np.ndarray,
                            time: float, dt: float, gen,
-                           use_bridge: bool = True,
-                           time_drift: Optional[Callable] = None,
                            segments: Optional[np.ndarray] = None):
     """One Euler-Maruyama step for all clusters plus per-adjacent-pair merge
     decisions (sign change always merges; otherwise the frozen-coefficient
@@ -269,9 +268,9 @@ def propose_diffusion_step(spec: DiffusionSpec, positions: np.ndarray,
 
     Draws standard_normal(n), then random(k) for the k pairs whose gap is
     still positive.  The named kinds take closed-form fast paths; this is
-    the innermost loop of every skeleton build.  time_drift(t) adds a
-    spatially constant, time-dependent drift; it exists solely for
-    negative-control fixtures and is None in production use.
+    the innermost loop of every skeleton build.  A spec with a time_drift
+    attribute (the drift-injected negative-control fixture) adds the
+    spatially constant drift time_drift(time) * dt to every proposal.
 
     Lockstep systems: gen may instead be a sequence of m generators, with
     segments the m + 1 nondecreasing offsets (0 first, n last) that cut
@@ -289,8 +288,8 @@ def propose_diffusion_step(spec: DiffusionSpec, positions: np.ndarray,
             if b > a:
                 g.standard_normal(out=z[a:b])
     prop, b = _euler_proposal(spec, x, z, dt)
-    if time_drift is not None:
-        prop = prop + time_drift(time) * dt
+    if getattr(spec, "time_drift", None) is not None:
+        prop = prop + spec.time_drift(time) * dt
     if x.size < 2:
         return prop, np.zeros(0, dtype=bool)
     d1 = prop[1:] - prop[:-1]
@@ -301,8 +300,9 @@ def propose_diffusion_step(spec: DiffusionSpec, positions: np.ndarray,
         cut = cut[(cut >= 0) & (cut < flags.size)]
         flags[cut] = False
         open_pair[cut] = False
-    if use_bridge and open_pair.any():
-        expo = _bridge_exponent(spec, x, d1, b, dt)[open_pair]
+    if open_pair.any():
+        ends = None if b is None else (b[:-1], b[1:])
+        expo = _bridge_exponent(spec, x[1:] - x[:-1], d1, ends, dt)[open_pair]
         if segments is None:
             u = gen.random(expo.size)
         else:
@@ -372,9 +372,7 @@ def step_system(model: MotionModel, positions: np.ndarray, time: float,
     if isinstance(model, HarrisSpec):
         prop, flags = propose_harris_step(model, positions, dt, gen)
     else:
-        prop, flags = propose_diffusion_step(
-            model, positions, time, dt, gen,
-            time_drift=getattr(model, "time_drift", None))
+        prop, flags = propose_diffusion_step(model, positions, time, dt, gen)
     return collapse_proposals(prop, flags)
 
 
@@ -387,14 +385,15 @@ def _step_pairs(spec: DiffusionSpec, x: np.ndarray, time: float, dt: float,
     for i, g in enumerate(gens):
         g.standard_normal(out=z[i])
     prop, b = _euler_proposal(spec, x, z, dt)
-    time_drift = getattr(spec, "time_drift", None)
-    if time_drift is not None:
-        prop = prop + time_drift(time) * dt
-    d1 = prop[:, 1:] - prop[:, :-1]
-    merged = (d1 <= 0.0).ravel()
+    if getattr(spec, "time_drift", None) is not None:
+        prop = prop + spec.time_drift(time) * dt
+    d1 = prop[:, 1] - prop[:, 0]
+    merged = d1 <= 0.0
     open_pair = ~merged
     if open_pair.any():
-        expo = _bridge_exponent(spec, x, d1, b, dt).ravel()[open_pair]
+        ends = None if b is None else (b[:, 0], b[:, 1])
+        expo = _bridge_exponent(spec, x[:, 1] - x[:, 0], d1, ends,
+                                dt)[open_pair]
         # random() draws the same double as random(1), at less call cost
         u = np.array([gens[i].random()
                       for i in np.flatnonzero(open_pair).tolist()])

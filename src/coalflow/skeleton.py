@@ -420,6 +420,16 @@ class SkeletonFlow:
         if (any(a.size != n_traj for a in arrays[:5])
                 or np.any(lens < 0) or int(lens.sum()) != flat.size):
             raise ConfigError("snapshot block lengths disagree")
+        # the module docstring's invariants, which keep every merge chain
+        # finite and every read inside its trajectory's own history
+        K, merged = cfg.n_steps, merge_step >= 0
+        bad_merge = np.where(merged, (merge_step < act) | (merge_step > K)
+                             | (parent < 0) | (parent >= np.arange(n_traj)),
+                             merge_step != -1)
+        if (np.any(np.diff(act) < 0) or np.any((act < 0) | (act > K))
+                or np.any(bad_merge)
+                or np.any(lens != np.where(merged, merge_step, K + 1) - act)):
+            raise ConfigError("snapshot merge tables are inconsistent")
         return SkeletonFlow(cfg, seed, rng_path, u0.copy(),
                             act.astype(np.int64), parent.astype(np.int64),
                             merge_step.astype(np.int64), flat.copy(),
@@ -485,7 +495,6 @@ def build_skeleton(config: SkeletonConfig, rng):
 
     gens = [r.generator() for r in rngs]
     gen = gens if lockstep else gens[0]
-    time_drift = getattr(model, "time_drift", None)
     live_id = np.zeros(0, dtype=np.int64)
     live_pos = np.zeros(0)
     seg = np.zeros(m + 1, dtype=np.int64)
@@ -498,7 +507,7 @@ def build_skeleton(config: SkeletonConfig, rng):
             else:
                 prop, flags = propose_diffusion_step(
                     model, live_pos, float(times[k - 1]), config.dt, gen,
-                    time_drift=time_drift, segments=seg if lockstep else None)
+                    segments=seg if lockstep else None)
             if flags.any():
                 live_pos, starts, counts = collapse_proposals(
                     prop, flags, seg if lockstep else None)

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from coalflow.cli import main
@@ -231,6 +232,36 @@ def test_export_truncated_snapshot_exits_2(snapshot, tmp_path, cut):
     queries = tmp_path / "queries.csv"
     queries.write_text("s,x,t\n0.1,0.5,0.2\n")
     assert main(["export", "--snapshot", str(short), "--queries",
+                 str(queries), "--out", str(tmp_path / "evals.csv")]) == 2
+
+
+def _damaged(skel, damage):
+    """skel with one invariant of a built skeleton broken in its tables."""
+    parent, lens = skel.parent.copy(), np.diff(skel.offsets)
+    i, j = np.flatnonzero(skel.merge_step >= 0)[-2:]
+    if damage == "two-cycle":
+        parent[i], parent[j] = j, i
+    elif damage == "parent-out-of-range":
+        parent[j] = skel.n_traj + 5
+    else:                     # lengths that still sum to the flat array's
+        a, b = np.flatnonzero(lens)[:2]
+        lens[a] += 1
+        lens[b] -= 1
+    return SkeletonFlow(skel.config, skel.seed, skel.rng_path, skel.u0,
+                        skel.act, parent, skel.merge_step, skel.flat,
+                        np.concatenate(([0], np.cumsum(lens))))
+
+
+@pytest.mark.parametrize("damage", ["two-cycle", "parent-out-of-range",
+                                    "bad-lens"])
+def test_export_inconsistent_snapshot_exits_2(snapshot, tmp_path, damage):
+    bad = _damaged(SkeletonFlow.load(snapshot), damage).save(
+        tmp_path / "bad.cfsk")
+    with pytest.raises(ConfigError):
+        SkeletonFlow.load(bad)
+    queries = tmp_path / "queries.csv"
+    queries.write_text("s,x,t\n0.1,0.5,0.2\n")
+    assert main(["export", "--snapshot", str(bad), "--queries",
                  str(queries), "--out", str(tmp_path / "evals.csv")]) == 2
 
 

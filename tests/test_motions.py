@@ -239,14 +239,10 @@ def test_segmented_diffusion_step_equals_one_call_per_segment(spec):
     x = np.concatenate(systems)
     seg = np.concatenate(([0], np.cumsum([a.size for a in systems])))
     gens = [rng.child(r).generator() for r in range(len(systems))]
-    prop, flags = propose_diffusion_step(
-        spec, x, 0.3, dt, gens, time_drift=getattr(spec, "time_drift", None),
-        segments=seg)
+    prop, flags = propose_diffusion_step(spec, x, 0.3, dt, gens, segments=seg)
     for r, a in enumerate(systems):
         lone = rng.child(r).generator()
-        want_p, want_f = propose_diffusion_step(
-            spec, a, 0.3, dt, lone,
-            time_drift=getattr(spec, "time_drift", None))
+        want_p, want_f = propose_diffusion_step(spec, a, 0.3, dt, lone)
         lo, hi = seg[r], seg[r + 1]
         assert np.array_equal(prop[lo:hi], want_p)
         assert np.array_equal(flags[lo:max(lo, hi - 1)], want_f)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from coalflow import verify
+from coalflow import kernels, verify
 from coalflow.motions import DiffusionSpec, HarrisSpec, step_system
 from coalflow.flows import EvalQuery, evaluate, shift, skeleton_flow_element
 from coalflow.rng import RngStream
@@ -202,9 +202,14 @@ def test_lockstep_step_draws_what_a_one_system_step_draws(spec):
 
 @pytest.mark.parametrize("cps", [[0, 5], [5, 21]])
 def test_production_stopped_paths_rejects_checkpoints_off_the_grid(cps):
+    spec = DiffusionSpec.arratia()
     with pytest.raises(ValueError):
-        verify._production_stopped_paths(DiffusionSpec.arratia(), (0.0, 1.0),
-                                         0.2, 1e-2, 2, RngStream(1), cps)
+        verify._production_stopped_paths(spec, (0.0, 1.0), 0.2, 1e-2, 2,
+                                         RngStream(1), cps)
+    # the independent-pair oracle it is tested against keeps the same rule
+    with pytest.raises(ValueError):
+        kernels.pair_stopped_paths(spec, 0.0, 1.0, 0.2, 1e-2, 2,
+                                   RngStream(1), cps)
 
 
 def test_stopped_equivalence_degenerate():
