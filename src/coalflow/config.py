@@ -46,6 +46,11 @@ class RunConfig:
             raise ConfigError("seed must fit in 64 bits")
         if not 0 < self.scale < math.inf:
             raise ConfigError("scale must be positive and finite")
+        for bundle, n in self.replicas.items():
+            if (isinstance(n, bool) or not isinstance(n, (int, float))
+                    or not 0 < n < math.inf):
+                raise ConfigError(f"replicas[{bundle!r}] must be a positive "
+                                  f"finite number, not {n!r}")
         for b in self.bundles:
             if b not in KNOWN_BUNDLES:
                 raise ConfigError(f"unknown bundle {b!r}; known: {KNOWN_BUNDLES}")

@@ -22,6 +22,8 @@ from .rng import RngStream
 from .stats import distance_correlation_test, ks_against_uniform
 
 _TIMES = (0, 1, 2)
+# replicas in each distance-correlation independence test
+DCOR_SAMPLE = 2000
 
 
 @dataclass(frozen=True)
@@ -93,8 +95,8 @@ _TRIPLES = ((0, 0, 1), (0, 1, 2), (0, 0, 2), (1, 1, 2),
 
 
 def verify_appendix(replicas: int, rng: RngStream,
-                    corr_replicas: int = 100_000, alpha: float = 0.01,
-                    dcor_sample: int = 2000) -> list:
+                    corr_replicas: int = 100_000,
+                    alpha: float = 0.01) -> list:
     """Reproduce the split verdict: same one-map marginals and independent
     increments for both flows, but psi_{0,2} == psi_{0,1} exactly while the
     twin's endpoints decorrelate."""
@@ -154,7 +156,7 @@ def verify_appendix(replicas: int, rng: RngStream,
             notes=f"KS vs Uniform[0,1] at x={x_probe}, Bonferroni over {n_marg}"))
 
     # (iii) independence of increments: (psi_{0,1}(x), psi_{1,2}(y))
-    sub = min(dcor_sample, replicas)
+    sub = min(DCOR_SAMPLE, replicas)
     pairs = [
         ("increments_psi", w1[:sub],
          np.where(0.25 == w1[:sub], w1[:sub], w2[:sub]), 2),

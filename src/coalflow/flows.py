@@ -245,20 +245,16 @@ def characterize_lt(f: FlowElement, q: EvalQuery, c) -> bool:
 # axiom battery
 
 
+DENSITY_TIMES, DENSITY_MIN_AGE = 8, 0.01  # F2: times from t0 + age on
+F3_POINTS, F3_LADDER = 24, 5               # F3: probes, step dx / 2**ladder
+
+
 @dataclass(frozen=True)
 class AxiomPlan:
     n_composition: int = 2000
     n_monotone: int = 2000
-    n_f3_points: int = 24
     n_f4_points: int = 200
-    n_density_times: int = 8
-    eps_d: Optional[float] = None        # default 8*dx for skeletons
-    x_lo: float = 0.1
-    x_hi: float = 0.9
-    s_lo: float = 0.0
     s_hi: Optional[float] = None
-    min_density_age: float = 0.01
-    f3_ladder: int = 5
 
 
 def check_flow_axioms(f: FlowElement, rng: RngStream,
@@ -275,11 +271,10 @@ def check_flow_axioms(f: FlowElement, rng: RngStream,
         times = skel.times
 
         def draw_times3():
-            ks = np.sort(gen.integers(skel.snap_index(plan.s_lo + t0),
+            ks = np.sort(gen.integers(skel.snap_index(t0),
                                       skel.snap_index(s_hi) + 1, size=3))
             return [float(times[k]) for k in ks]
         dx = skel.config.dx
-        eps_d = plan.eps_d if plan.eps_d is not None else 8.0 * dx
         f3_tol = 4.0 * dx + 3.0 * math.sqrt(skel.config.dt)
         lattice = skel.config.lattice()
     else:
@@ -287,16 +282,16 @@ def check_flow_axioms(f: FlowElement, rng: RngStream,
             ks = np.sort(gen.integers(0, 1025, size=3))
             return [float(Fraction(int(k), 512)) for k in ks]
         dx = float(b.lattice_step)
-        eps_d = plan.eps_d if plan.eps_d is not None else 8.0 * dx
         f3_tol = 4.0 * dx
         lattice = np.array([float(p) for p in
                             AnalyticFlow(b.window, b.lattice_step).range_lattice()])
+    eps_d = 8.0 * dx
 
     def draw_x():
         lo, hi = (skel.config.window if skel is not None else b.window)
         span = hi - lo
         u = float(gen.integers(0, 4097)) / 4096.0
-        return lo + span * (plan.x_lo + (plan.x_hi - plan.x_lo) * u)
+        return lo + span * (0.1 + 0.8 * u)    # the middle 80% of the window
 
     # F1: f(s, f(r,x;s); t) == f(r,x;t) exactly
     viol = 0
@@ -322,9 +317,9 @@ def check_flow_axioms(f: FlowElement, rng: RngStream,
     # F2: strict range is eps_d-dense on the interior window
     worst = 0.0
     if skel is not None:
-        k_lo = skel.snap_index(t0 + plan.min_density_age)
+        k_lo = skel.snap_index(t0 + DENSITY_MIN_AGE)
         ks = np.unique(np.linspace(k_lo, skel.snap_index(s_hi),
-                                   plan.n_density_times).astype(int))
+                                   DENSITY_TIMES).astype(int))
         c, cp = skel.config.window
         lo, hi = c + eps_d, cp - eps_d
         for k in ks:
@@ -346,7 +341,7 @@ def check_flow_axioms(f: FlowElement, rng: RngStream,
     # continuity; median over sampled points, the per-point step is
     # heavy-tailed on a grid)
     steps = []
-    for _ in range(plan.n_f3_points):
+    for _ in range(F3_POINTS):
         r, s, t = draw_times3()
         tries = 0
         x = None
@@ -363,7 +358,7 @@ def check_flow_axioms(f: FlowElement, rng: RngStream,
         if x is None:
             continue
         base = evaluate(f, EvalQuery(s, x, t))
-        delta = dx / (2 ** plan.f3_ladder)
+        delta = dx / (2 ** F3_LADDER)
         stepped = evaluate(f, EvalQuery(s, x + delta, t))
         steps.append(abs(float(stepped) - float(base)))
     med = float(np.median(steps)) if steps else 0.0

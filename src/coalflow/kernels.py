@@ -35,14 +35,14 @@ def _steps(t: float, dt: float) -> int:
 
 
 def _pair_step(spec: DiffusionSpec, p1: np.ndarray, p2: np.ndarray,
-               dt: float, z: np.ndarray, u: np.ndarray,
+               time: float, dt: float, z: np.ndarray, u: np.ndarray,
                use_bridge: bool = True):
-    """Euler step of a batch of pairs p1 <= p2 from already drawn normals
-    z (m, 2) and uniforms u (m,); returns (q1, q2, met).  A pair meets on a
-    sign change of the gap or, if use_bridge, with the bridge-law
-    probability of motions.propose_diffusion_step."""
-    q1, b1 = _euler_proposal(spec, p1, z[:, 0], dt)
-    q2, b2 = _euler_proposal(spec, p2, z[:, 1], dt)
+    """Euler step at `time` of a batch of pairs p1 <= p2 from already drawn
+    normals z (m, 2) and uniforms u (m,); returns (q1, q2, met).  A pair
+    meets on a sign change of the gap or, if use_bridge, with the
+    bridge-law probability of motions.propose_diffusion_step."""
+    q1, b1 = _euler_proposal(spec, p1, z[:, 0], time, dt)
+    q2, b2 = _euler_proposal(spec, p2, z[:, 1], time, dt)
     d0 = p2 - p1
     d1 = q2 - q1
     met = d1 <= 0.0
@@ -76,13 +76,13 @@ def pair_event_probability(spec: DiffusionSpec, x: float, y: float, t: float,
     event = np.zeros(replicas, dtype=bool)
     if x == y:
         return 0.0, 0.0, event
-    for _ in range(n_steps):
+    for k in range(n_steps):
         m = alive_idx.size
         if m == 0:
             break
         z = gen.standard_normal((m, 2))
         u = gen.random(m)
-        q1, q2, met = _pair_step(spec, p1, p2, dt, z, u, use_bridge)
+        q1, q2, met = _pair_step(spec, p1, p2, k * dt, dt, z, u, use_bridge)
         keep = ~met
         if box is not None:
             lo, hi = box
@@ -124,7 +124,8 @@ def pair_stopped_paths(spec: DiffusionSpec, x: float, y: float, t: float,
         if np.any(active):
             z = gen.standard_normal((int(active.sum()), 2))
             u = gen.random(int(active.sum()))
-            q1, q2, hit = _pair_step(spec, p1[active], p2[active], dt, z, u)
+            q1, q2, hit = _pair_step(spec, p1[active], p2[active],
+                                     (k - 1) * dt, dt, z, u)
             newly = np.zeros(replicas, dtype=bool)
             newly[active] = hit & ~met[active]
             mid = 0.5 * (q1 + q2)
@@ -154,9 +155,9 @@ def endpoint_sample(spec: DiffusionSpec, x: float, t: float, dt: float,
     if t == 0.0:
         return pos
     n_steps = _steps(t, dt)
-    for _ in range(n_steps):
+    for k in range(n_steps):
         z = sigma_scale * gen.standard_normal(replicas)
-        pos, _ = _euler_proposal(spec, pos, z, dt)
+        pos, _ = _euler_proposal(spec, pos, z, k * dt, dt)
     return pos
 
 
@@ -177,8 +178,9 @@ def max_excursion_exceeds(spec: DiffusionSpec, u: float, eps: float, t: float,
     pos = np.full(replicas, float(u))
     exceeded = np.zeros(replicas, dtype=bool)
     lo, hi = u - eps, u + eps
-    for _ in range(n_steps):
-        new, b = _euler_proposal(spec, pos, gen.standard_normal(replicas), dt)
+    for k in range(n_steps):
+        new, b = _euler_proposal(spec, pos, gen.standard_normal(replicas),
+                                 k * dt, dt)
         if jump_rate > 0.0:
             jump = gen.random(replicas) < jump_rate * dt
             new = np.where(jump, new + 2.0 * eps, new)

@@ -228,20 +228,28 @@ def collapse_proposals(prop: np.ndarray, merge_next: np.ndarray,
 
 
 def _euler_proposal(spec: DiffusionSpec, x: np.ndarray, z: np.ndarray,
-                    dt: float):
+                    time: float, dt: float):
     """Draw-free Euler-Maruyama proposal x + a(x) dt + b(x) sqrt(dt) z,
     elementwise over an array of any shape, and b(x) for the bridge test
-    (None for the constant-coefficient kinds, whose rate is fixed)."""
+    (None for the constant-coefficient kinds, whose rate is fixed).  A spec
+    with a time_drift attribute (the drift-injected negative-control
+    fixture) adds the spatially constant drift time_drift(time) * dt last."""
     sdt = math.sqrt(dt)
+    b = None
     if spec.kind == "arratia":
-        return x + sdt * z, None
-    if spec.kind == "ou":
-        return x + (-spec.rate * dt) * x + (spec.sigma * sdt) * z, None
-    a = spec.drift(x)
-    b = spec.diffusion(x)
-    if np.any(b <= 0.0):
-        raise NonPositiveDiffusion("b(x) <= 0 at a step node")
-    return x + a * dt + b * sdt * z, b
+        prop = x + sdt * z
+    elif spec.kind == "ou":
+        prop = x + (-spec.rate * dt) * x + (spec.sigma * sdt) * z
+    else:
+        a = spec.drift(x)
+        b = spec.diffusion(x)
+        if np.any(b <= 0.0):
+            raise NonPositiveDiffusion("b(x) <= 0 at a step node")
+        prop = x + a * dt + b * sdt * z
+    time_drift = getattr(spec, "time_drift", None)
+    if time_drift is not None:
+        prop = prop + time_drift(time) * dt
+    return prop, b
 
 
 def _bridge_exponent(spec: DiffusionSpec, d0: np.ndarray, d1: np.ndarray,
@@ -268,9 +276,8 @@ def propose_diffusion_step(spec: DiffusionSpec, positions: np.ndarray,
 
     Draws standard_normal(n), then random(k) for the k pairs whose gap is
     still positive.  The named kinds take closed-form fast paths; this is
-    the innermost loop of every skeleton build.  A spec with a time_drift
-    attribute (the drift-injected negative-control fixture) adds the
-    spatially constant drift time_drift(time) * dt to every proposal.
+    the innermost loop of every coalescing sampler.  The proposal is
+    _euler_proposal's, time drift included.
 
     Lockstep systems: gen may instead be a sequence of m generators, with
     segments the m + 1 nondecreasing offsets (0 first, n last) that cut
@@ -287,9 +294,7 @@ def propose_diffusion_step(spec: DiffusionSpec, positions: np.ndarray,
         for g, a, b in zip(gen, bounds[:-1], bounds[1:]):
             if b > a:
                 g.standard_normal(out=z[a:b])
-    prop, b = _euler_proposal(spec, x, z, dt)
-    if getattr(spec, "time_drift", None) is not None:
-        prop = prop + spec.time_drift(time) * dt
+    prop, b = _euler_proposal(spec, x, z, time, dt)
     if x.size < 2:
         return prop, np.zeros(0, dtype=bool)
     d1 = prop[1:] - prop[:-1]
@@ -308,11 +313,18 @@ def propose_diffusion_step(spec: DiffusionSpec, positions: np.ndarray,
         else:
             # open pairs before each segment's first pair
             before = np.concatenate(([0], np.cumsum(open_pair)))
-            ub = before[np.minimum(segments, flags.size)].tolist()
-            u = np.empty(expo.size)
-            for g, a, c in zip(gen, ub[:-1], ub[1:]):
-                if c > a:
-                    g.random(out=u[a:c])
+            ub = before[np.minimum(segments, flags.size)]
+            if ub[-1] <= len(gen):
+                # few draws, as for C8's pairs: k scalar random() calls draw
+                # what random(k) draws, at half a sliced call's cost each
+                owner = np.repeat(np.arange(len(gen)), np.diff(ub))
+                u = np.array([gen[i].random() for i in owner.tolist()])
+            else:
+                ub = ub.tolist()
+                u = np.empty(expo.size)
+                for g, a, c in zip(gen, ub[:-1], ub[1:]):
+                    if c > a:
+                        g.random(out=u[a:c])
         hit = u < np.exp(expo)
         if hit.any():
             flags[open_pair] = hit
@@ -351,56 +363,28 @@ def propose_harris_step(spec: HarrisSpec, positions: np.ndarray, dt: float,
 
 
 def step_system(model: MotionModel, positions: np.ndarray, time: float,
-                dt: float, gen):
+                dt: float, gen, segments: Optional[np.ndarray] = None):
     """One step of the coalescing motion on strictly increasing cluster
     positions: the model's proposal step, then collapse_proposals.
 
     Returns (positions, starts, counts) as collapse_proposals does; the
-    skeleton builder runs the same two kernels on the same draws, and both
-    paths add a model's time_drift (the drift-injected fixture) as it does.
+    skeleton builder runs the same two kernels on the same draws, time
+    drift included.
 
-    Lockstep pairs: gen may instead be a sequence of m generators, with
-    positions an (m, 2) array of m independent pairs of a DiffusionSpec,
-    each row strictly increasing.  Pair i draws from gen[i] exactly what a
-    one-system call on row i draws; the Euler step, the bridge test and the
-    merge run once over the whole batch.  Returns (positions, merged): an
-    (m, 2) array in which a pair that merged holds its midpoint in both
-    columns, and the (m,) bool mask of the pairs that merged in this step.
+    Lockstep systems (diffusions only): gen may instead be a sequence of m
+    generators and segments the m + 1 offsets that cut positions into m
+    independent systems, as in propose_diffusion_step; system i draws from
+    gen[i] exactly what a one-system call on its segment draws, and its
+    clusters are the groups that np.searchsorted(starts, segments) cuts.
     """
-    if not isinstance(gen, np.random.Generator):
-        return _step_pairs(model, positions, time, dt, gen)
     if isinstance(model, HarrisSpec):
+        if segments is not None:
+            raise TypeError("lockstep steps need a DiffusionSpec")
         prop, flags = propose_harris_step(model, positions, dt, gen)
     else:
-        prop, flags = propose_diffusion_step(model, positions, time, dt, gen)
-    return collapse_proposals(prop, flags)
-
-
-def _step_pairs(spec: DiffusionSpec, x: np.ndarray, time: float, dt: float,
-                gens: Sequence[np.random.Generator]):
-    """step_system on an (m, 2) batch of independent pairs; see there."""
-    if not isinstance(spec, DiffusionSpec):
-        raise TypeError("lockstep pairs need a DiffusionSpec")
-    z = np.empty((len(gens), 2))
-    for i, g in enumerate(gens):
-        g.standard_normal(out=z[i])
-    prop, b = _euler_proposal(spec, x, z, dt)
-    if getattr(spec, "time_drift", None) is not None:
-        prop = prop + spec.time_drift(time) * dt
-    d1 = prop[:, 1] - prop[:, 0]
-    merged = d1 <= 0.0
-    open_pair = ~merged
-    if open_pair.any():
-        ends = None if b is None else (b[:, 0], b[:, 1])
-        expo = _bridge_exponent(spec, x[:, 1] - x[:, 0], d1, ends,
-                                dt)[open_pair]
-        # random() draws the same double as random(1), at less call cost
-        u = np.array([gens[i].random()
-                      for i in np.flatnonzero(open_pair).tolist()])
-        merged[open_pair] = u < np.exp(expo)
-    # the midpoint collapse_proposals gives a merged pair
-    prop[merged] = ((prop[merged, 0] + prop[merged, 1]) / 2)[:, None]
-    return prop, merged
+        prop, flags = propose_diffusion_step(model, positions, time, dt, gen,
+                                             segments)
+    return collapse_proposals(prop, flags, segments)
 
 
 def sample_npoint_motion(model: MotionModel, starts: Sequence[float],

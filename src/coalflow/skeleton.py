@@ -592,19 +592,16 @@ def build_skeleton(config: SkeletonConfig, rng):
 # SP property checks (Lemma on skeleton versions: SP1..SP5)
 
 
+SP2_SAMPLES, SP2_TIMES = 64, 8      # SP2: merges, and times after each
+SP3_TIMES, SP3_MIN_AGE = 12, 0.01   # SP3: times from t0 + age on
+SP5_STARTS, SP5_LADDER = 21, 4      # SP5: starts, and lattice rungs above
+
+
 @dataclass(frozen=True)
 class SpCheckPlan:
-    eps_d: Optional[float] = None        # SP3 tolerance, default 8*dx
-    min_age: float = 0.01                # SP3 sampled times start at t0 + min_age
-    n_density_times: int = 12
-    interior_margin: Optional[float] = None
-    n_sp2_samples: int = 64
-    n_sp2_times: int = 8
     n_sp4_samples: int = 48
     sp4_duration: float = 0.5
     sp4_span: float = 0.5
-    n_sp5_starts: int = 21
-    sp5_ladder: int = 4
 
 
 def cluster_count_bound(model: MotionModel, a: float, b: float,
@@ -643,13 +640,13 @@ def check_sp_properties(skel: SkeletonFlow, rng: RngStream,
     mism = 0
     checked = 0
     if merges:
-        idx = gen.choice(len(merges), size=min(plan.n_sp2_samples, len(merges)),
+        idx = gen.choice(len(merges), size=min(SP2_SAMPLES, len(merges)),
                          replace=False)
         for mi in idx:
             absorbed, parent, mt = merges[int(mi)]
             k0 = skel.snap_index(mt)
             ks = np.unique(np.linspace(k0, skel.n_steps,
-                                       plan.n_sp2_times).astype(int))
+                                       SP2_TIMES).astype(int))
             for k in ks:
                 checked += 1
                 if skel.value(absorbed, int(k)) != skel.value(parent, int(k)):
@@ -659,14 +656,11 @@ def check_sp_properties(skel: SkeletonFlow, rng: RngStream,
                                 notes="positions compared exactly after merge"))
 
     # SP3: range density at sampled times.
-    eps_d = plan.eps_d if plan.eps_d is not None else 8.0 * cfg.dx
-    margin = (plan.interior_margin if plan.interior_margin is not None
-              else eps_d)
+    eps_d = 8.0 * cfg.dx
     c, cp = cfg.window
-    lo, hi = c + margin, cp - margin
-    k_min = cfg.snap_index(cfg.t0 + plan.min_age)
-    ks = np.unique(np.linspace(k_min, skel.n_steps,
-                               plan.n_density_times).astype(int))
+    lo, hi = c + eps_d, cp - eps_d
+    k_min = cfg.snap_index(cfg.t0 + SP3_MIN_AGE)
+    ks = np.unique(np.linspace(k_min, skel.n_steps, SP3_TIMES).astype(int))
     worst = 0.0
     for k in ks:
         _, pos, _ = skel.clusters_at_index(int(k))
@@ -676,7 +670,7 @@ def check_sp_properties(skel: SkeletonFlow, rng: RngStream,
         replicas=len(ks), passed=bool(worst <= eps_d),
         rule="max interior gap <= eps_d at every sampled time",
         notes=(f"eps_d={eps_d} (engineering tolerance, see config), interior "
-               f"window [{lo}, {hi}], times >= t0+{plan.min_age}; cluster set "
+               f"window [{lo}, {hi}], times >= t0+{SP3_MIN_AGE}; cluster set "
                "from positions_at (activation <= s)")))
 
     # SP4: cluster count through a space interval, averaged over samples.
@@ -706,7 +700,7 @@ def check_sp_properties(skel: SkeletonFlow, rng: RngStream,
 
     # SP5: right-modulus at sampled starts, heavy-tailed per start so the
     # decision statistic is the median over starts.
-    stats = _sp5_ladder_stats(skel, gen, plan)
+    stats = _sp5_ladder_stats(skel, gen)
     if stats is not None:
         med_by_rung, n_starts = stats
         threshold = 4.0 * cfg.dx + 3.0 * math.sqrt(cfg.dt)
@@ -736,26 +730,26 @@ def max_window_gap(pos: np.ndarray, lo: float, hi: float) -> float:
     return float(np.max(np.diff(seq))) if seq.size > 1 else hi - lo
 
 
-def _sp5_ladder_stats(skel: SkeletonFlow, gen, plan: SpCheckPlan):
+def _sp5_ladder_stats(skel: SkeletonFlow, gen):
     cfg = skel.config
     lattice = cfg.lattice()
     act, u0, ms = skel.act, skel.u0, skel.merge_step
     # a trajectory has a history of its own unless it merged at injection
     candidates = np.flatnonzero(
         ((ms < 0) | (ms > act))
-        & (u0 + plan.sp5_ladder * cfg.dx <= cfg.window[1] + 1e-12))
+        & (u0 + SP5_LADDER * cfg.dx <= cfg.window[1] + 1e-12))
     if not candidates.size:
         return None
-    take = min(plan.n_sp5_starts, candidates.size)
+    take = min(SP5_STARTS, candidates.size)
     chosen = gen.choice(candidates.size, size=take, replace=False)
-    per_rung = [[] for _ in range(plan.sp5_ladder)]
+    per_rung = [[] for _ in range(SP5_LADDER)]
     for ci in chosen:
         i = int(candidates[ci])
         k0, kend = int(act[i]), skel.n_steps
         base = skel.series(i, k0, kend)
         mates = np.flatnonzero(act == act[i])
         offsets = np.rint((u0[mates] - u0[i]) / cfg.dx)
-        for r in range(1, plan.sp5_ladder + 1):
+        for r in range(1, SP5_LADDER + 1):
             at_r = mates[offsets == r]
             if not at_r.size:
                 continue

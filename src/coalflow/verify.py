@@ -260,10 +260,11 @@ def _production_stopped_paths(spec: DiffusionSpec, starts, t: float,
 
     Returns (replicas, 2 * len(checkpoints) + 1): both positions at each
     checkpoint step (a merged pair reports its one position twice) and the
-    grid meeting time, t if the pair never met.  Every live replica takes
-    each step in lockstep, while replica r draws from its own rng.child(r)
-    exactly what it would draw stepped alone, so no path depends on the
-    number of replicas.
+    grid meeting time, t if the pair never met.  The live pairs are the
+    two-entry segments of one array stepped in lockstep, replica r drawing
+    from its own rng.child(r) what it would draw stepped alone, so no path
+    depends on the number of replicas.  A segment that collapses to one
+    entry is a pair that met: it is recorded and dropped.
     """
     cps = sorted(checkpoint_steps)
     n_steps = int(round(t / dt))
@@ -271,22 +272,27 @@ def _production_stopped_paths(spec: DiffusionSpec, starts, t: float,
         raise ValueError(f"checkpoint steps must lie in 1..{n_steps}")
     gens = [rng.child(r).generator() for r in range(replicas)]
     live = np.arange(replicas)
-    cur = np.tile(np.asarray(starts, dtype=float), (replicas, 1))
-    pos = cur.copy()                   # every replica; frozen once merged
+    cur = np.tile(np.asarray(starts, dtype=float), replicas)
+    seg = np.arange(0, cur.size + 1, 2)
+    pos = cur.reshape(replicas, 2).copy()   # every replica; frozen once met
     meet_time = np.full(replicas, float(t))
     out = np.empty((replicas, 2 * len(cps) + 1), dtype=float)
     col = 0
     for k in range(1, n_steps + 1):
         if live.size:
-            cur, merged = step_system(spec, cur, (k - 1) * dt, dt, gens)
-            if merged.any():
-                pos[live[merged]] = cur[merged]
-                meet_time[live[merged]] = k * dt
-                keep = ~merged
-                live, cur = live[keep], cur[keep]
-                gens = [g for g, kept in zip(gens, keep.tolist()) if kept]
+            cur, groups, _ = step_system(spec, cur, (k - 1) * dt, dt, gens,
+                                         seg)
+            if groups.size < seg[-1]:
+                sizes = np.diff(np.searchsorted(groups, seg))
+                met = sizes == 1
+                lone = np.repeat(met, sizes)    # the one entry of a met pair
+                pos[live[met]] = cur[lone, None]
+                meet_time[live[met]] = k * dt
+                cur, live = cur[~lone], live[~met]
+                gens = [g for g, gone in zip(gens, met.tolist()) if not gone]
+                seg = seg[:live.size + 1]
         while col < 2 * len(cps) and k == cps[col // 2]:
-            pos[live] = cur
+            pos[live] = cur.reshape(-1, 2)
             out[:, col:col + 2] = pos
             col += 2
     out[:, -1] = meet_time

@@ -8,6 +8,7 @@ from coalflow.motions import (DiffusionSpec, collapse_proposals,
                               pair_no_meet_probability_exact,
                               propose_diffusion_step)
 from coalflow.rng import RngStream
+from coalflow.verify import DriftInjectedSpec
 
 
 def test_pair_event_matches_reflection_formula():
@@ -162,11 +163,31 @@ def test_pair_step_equals_written_out_euler_and_bridge(spec, use_bridge):
     p2[:100] = p1[:100]                 # pairs that already met
     z = gen.standard_normal((m, 2))
     u = gen.random(m)
-    got = kernels._pair_step(spec, p1, p2, dt, z, u, use_bridge)
+    got = kernels._pair_step(spec, p1, p2, 0.0, dt, z, u, use_bridge)
     want = _reference_pair_step(spec, p1, p2, dt, z, u, use_bridge)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
     assert 0 < want[2].sum() < m
+
+
+def test_one_and_two_point_kernels_apply_time_drift():
+    """The drift-injected fixture's drift is +5 on [0, 0.25), so from the
+    same stream a one-point path ends 5 * 0.2 = 1.0 above plain Arratia's,
+    and a stopped pair 5 times its meeting time above (t if it never met)."""
+    t, dt = 0.2, 1e-2
+    specs = (DiffusionSpec.arratia(),
+             DriftInjectedSpec(kind="arratia", drift_amp=5.0))
+    plain, drift = [kernels.endpoint_sample(s, 0.3, t, dt, 500,
+                                            RngStream(6, (1,)))
+                    for s in specs]
+    assert np.allclose(drift, plain + 1.0)
+    plain, drift = [kernels.pair_stopped_paths(s, 0.0, 0.3, t, dt, 500,
+                                               RngStream(6, (2,)), [10, 20])
+                    for s in specs]
+    meet = plain[:, -1]
+    assert np.array_equal(drift[:, -1], meet)
+    assert np.any(meet < t) and np.any(meet == t)
+    assert np.allclose(drift[:, -3:-1], plain[:, -3:-1] + 5.0 * meet[:, None])
 
 
 def test_pair_stopped_paths_freeze_after_meeting():

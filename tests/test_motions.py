@@ -229,27 +229,30 @@ def test_segmented_diffusion_step_equals_one_call_per_segment(spec):
     """Each segment of a lockstep proposal draws from its own generator
     what a one-generator call on it draws; pairs across a cut (here often
     out of order or equal) are neither flagged nor drawn for, and empty and
-    one-point segments draw nothing."""
+    one-point segments draw nothing.  Both uniform draws are checked: sliced
+    per segment (many open pairs) and one scalar per pair (no more open
+    pairs than segments)."""
     dt = 1e-2
     rng = RngStream(13, (0,))
     gen = rng.child(99).generator()
-    systems = [np.sort(gen.uniform(0.0, 0.3, size)) for size in
-               (5, 0, 1, 12, 2, 0, 7, 3)]
-    systems[4] = systems[3][:2]         # equal values across a cut
-    x = np.concatenate(systems)
-    seg = np.concatenate(([0], np.cumsum([a.size for a in systems])))
-    gens = [rng.child(r).generator() for r in range(len(systems))]
-    prop, flags = propose_diffusion_step(spec, x, 0.3, dt, gens, segments=seg)
-    for r, a in enumerate(systems):
-        lone = rng.child(r).generator()
-        want_p, want_f = propose_diffusion_step(spec, a, 0.3, dt, lone)
-        lo, hi = seg[r], seg[r + 1]
-        assert np.array_equal(prop[lo:hi], want_p)
-        assert np.array_equal(flags[lo:max(lo, hi - 1)], want_f)
-        if 0 < hi < x.size:
-            assert not flags[hi - 1]
-        assert gens[r].random() == lone.random()
-    assert flags.any() and not flags.all()
+    for sizes in ((5, 0, 1, 12, 2, 0, 7, 3), (2, 0, 1, 3, 2, 1, 1, 1)):
+        systems = [np.sort(gen.uniform(0.0, 0.3, size)) for size in sizes]
+        systems[4] = systems[3][:2]         # equal values across a cut
+        x = np.concatenate(systems)
+        seg = np.concatenate(([0], np.cumsum([a.size for a in systems])))
+        gens = [rng.child(r).generator() for r in range(len(systems))]
+        prop, flags = propose_diffusion_step(spec, x, 0.3, dt, gens,
+                                             segments=seg)
+        for r, a in enumerate(systems):
+            lone = rng.child(r).generator()
+            want_p, want_f = propose_diffusion_step(spec, a, 0.3, dt, lone)
+            lo, hi = seg[r], seg[r + 1]
+            assert np.array_equal(prop[lo:hi], want_p)
+            assert np.array_equal(flags[lo:max(lo, hi - 1)], want_f)
+            if 0 < hi < x.size:
+                assert not flags[hi - 1]
+            assert gens[r].random() == lone.random()
+        assert flags.any() and not flags.all()
 
 
 def test_step_preserves_order_and_permanence():

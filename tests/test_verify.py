@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from coalflow import kernels, verify
-from coalflow.motions import DiffusionSpec, HarrisSpec, step_system
+from coalflow.motions import (DiffusionSpec, HarrisSpec,
+                              propose_diffusion_step, step_system)
 from coalflow.flows import EvalQuery, evaluate, shift, skeleton_flow_element
 from coalflow.rng import RngStream
 from coalflow.skeleton import build_skeleton
@@ -180,24 +181,35 @@ def test_lockstep_stopped_paths_match_per_replica_loop(spec, dt, starts):
 
 @PAIR_SPECS
 def test_lockstep_step_draws_what_a_one_system_step_draws(spec):
-    """A lockstep pair consumes exactly the draws of its one-system step, so
-    the next draw of every generator agrees afterwards; pairs that merge by
-    a sign change draw no uniform."""
+    """A pair stepped as a two-entry segment of a lockstep step_system call
+    consumes exactly the draws of its one-system step, so the next draw of
+    every generator agrees afterwards; pairs that merge by a sign change
+    draw no uniform."""
     dt = 1e-2
     rng = RngStream(12, (0,))
     x = np.array([[0.2, 0.201], [-0.3, 0.4]] * 100)
+    seg = np.arange(0, x.size + 1, 2)
     gens = [rng.child(r).generator() for r in range(len(x))]
-    got, merged = step_system(spec, x, 0.0, dt, gens)
-    assert got.shape == x.shape and merged.shape == (len(x),)
+    got, groups, _ = step_system(spec, x.ravel(), 0.0, dt, gens, seg)
+    ends = np.searchsorted(groups, seg)
+    merged = np.diff(ends) == 1
+    crossed = np.zeros(len(x), dtype=bool)
     for r, row in enumerate(x):
         gen = rng.child(r).generator()
         pos, _, _ = step_system(spec, row, 0.0, dt, gen)
         assert merged[r] == (pos.size == 1)
-        assert np.array_equal(got[r], np.broadcast_to(pos, 2))
-        assert gens[r].random() == gen.random()
-    assert merged.any() and not merged.all()
+        assert np.array_equal(got[ends[r]:ends[r + 1]], pos)
+        nxt = gens[r].random()
+        assert nxt == gen.random()
+        prop, _ = propose_diffusion_step(spec, row, 0.0, dt,
+                                         rng.child(r).generator())
+        crossed[r] = prop[1] <= prop[0]
+        normals_only = rng.child(r).generator()
+        normals_only.standard_normal(2)
+        assert (nxt == normals_only.random()) == crossed[r]
+    assert crossed.any() and (merged & ~crossed).any() and not merged.all()
     with pytest.raises(TypeError):
-        step_system(HarrisSpec(), x, 0.0, dt, gens)
+        step_system(HarrisSpec(), x.ravel(), 0.0, dt, gens, seg)
 
 
 @pytest.mark.parametrize("cps", [[0, 5], [5, 21]])
