@@ -2,8 +2,8 @@
 
 Each bundle maps a RunConfig to a list of TestReports plus optional extra
 artifacts (per-replica CSVs, the counterexample verdict table).  Replica
-counts default to the acceptance-scale values and shrink with the config's
-replica scale for CI runs.
+counts default to the acceptance-scale values of config.REPLICA_DEFAULTS
+and shrink with the config's replica scale for CI runs.
 """
 
 from __future__ import annotations
@@ -67,10 +67,10 @@ SHIFT_HS = (0.25, 0.5)
 def shift_skeleton_config(model=None) -> SkeletonConfig:
     # row period divides both h values and all query times sit on rows, so
     # the grid maps onto itself under the tested shifts
-    return verify.shift_invariance_config(
-        model or DiffusionSpec.arratia(), window=(0.0, 1.0), dx=1.0 / 64,
-        t0=0.0, t1=1.5, dt=1e-3, row_period=0.05, queries=SHIFT_QUERIES,
-        hs=SHIFT_HS)
+    return SkeletonConfig.rows(window=(0.0, 1.0), dx=1.0 / 64, t0=0.0,
+                               t1=1.5, dt=1e-3,
+                               model=model or DiffusionSpec.arratia(),
+                               row_period=0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +155,8 @@ def shift_group_report(f: FlowElement, rng: RngStream, n: int,
 
 
 def bundle_counterexample(cfg: RunConfig, rng: RngStream):
-    n = cfg.n_replicas("counterexample", 10_000)
-    corr_n = cfg.n_replicas("counterexample_corr", 100_000)
+    n = cfg.n_replicas("counterexample")
+    corr_n = cfg.n_replicas("counterexample_corr")
     reports = verify_appendix(max(n, 10_000), rng, corr_replicas=corr_n)
     extras = [("counterexample_verdict.txt",
                lambda p, r=reports: write_verdict_table(r, p))]
@@ -164,7 +164,7 @@ def bundle_counterexample(cfg: RunConfig, rng: RngStream):
 
 
 def bundle_axioms(cfg: RunConfig, rng: RngStream):
-    n_tuples = cfg.n_replicas("axioms", 10_000)
+    n_tuples = cfg.n_replicas("axioms")
     plan = AxiomPlan(n_composition=n_tuples, n_monotone=n_tuples)
     reports = []
     fa = analytic_flow_element()
@@ -187,13 +187,13 @@ def bundle_axioms(cfg: RunConfig, rng: RngStream):
 
 
 def bundle_cocycle(cfg: RunConfig, rng: RngStream):
-    n = cfg.n_replicas("cocycle", 1000)
+    n = cfg.n_replicas("cocycle")
     reports = [cocycle_exactness_report(analytic_flow_element(), rng.child(0),
                                         n, name="perfect_cocycle_analytic"),
                shift_group_report(analytic_flow_element(), rng.child(1),
                                   max(50, n // 10),
                                   name="shift_group_analytic")]
-    n_skel = cfg.n_replicas("cocycle_skeletons", 5)
+    n_skel = cfg.n_replicas("cocycle_skeletons")
     ccfg = cocycle_skeleton_config()
     for i in range(n_skel):
         skel = build_skeleton(ccfg, rng.child(2, i))
@@ -209,24 +209,24 @@ def bundle_cocycle(cfg: RunConfig, rng: RngStream):
 def bundle_motion_laws(cfg: RunConfig, rng: RngStream):
     reports = []
     reports.append(verify.test_no_meet_law(
-        0.0, 1.0, 1.0, cfg.n_replicas("no_meet", 100_000), rng.child(0)))
+        0.0, 1.0, 1.0, cfg.n_replicas("no_meet"), rng.child(0)))
     reports.append(verify.test_marginal_law(
         DiffusionSpec.arratia(), 0.0, 1.0,
-        cfg.n_replicas("marginal", 10_000), rng.child(1)))
+        cfg.n_replicas("marginal"), rng.child(1)))
     reports.append(verify.test_marginal_law(
         DiffusionSpec.ornstein_uhlenbeck(1.0, math.sqrt(2.0)), 1.0, 1.0,
-        cfg.n_replicas("marginal", 10_000), rng.child(2)))
+        cfg.n_replicas("marginal"), rng.child(2)))
     reports.append(verify.test_ou_moments(
         1.0, math.sqrt(2.0), 1.0, 1.0,
-        cfg.n_replicas("ou_moments", 100_000), rng.child(3)))
+        cfg.n_replicas("ou_moments"), rng.child(3)))
     reports.append(verify.test_small_time_continuity(
         DiffusionSpec.arratia(), 0.0, 0.75, (0.2, 0.1, 0.05, 0.02),
-        cfg.n_replicas("small_time", 40_000), rng.child(4)))
+        cfg.n_replicas("small_time"), rng.child(4)))
     return reports, []
 
 
 def bundle_meeting_bound(cfg: RunConfig, rng: RngStream):
-    n = cfg.n_replicas("meeting_bound", 100_000)
+    n = cfg.n_replicas("meeting_bound")
     reports = [
         verify.test_meeting_bound(DiffusionSpec.arratia(), 0.0, 0.1, -10.0,
                                   10.0, 1.0, n, rng.child(0)),
@@ -238,11 +238,11 @@ def bundle_meeting_bound(cfg: RunConfig, rng: RngStream):
 
 
 def bundle_cluster_count(cfg: RunConfig, rng: RngStream):
-    n = cfg.n_replicas("cluster_count", 200)
+    n = cfg.n_replicas("cluster_count")
     report, vals = verify.test_cluster_count(
         DiffusionSpec.arratia(), (0.0, 1.0), 0.0, 1.0, 512, n, rng.child(0))
     oracle = verify.test_cluster_density_oracle(
-        512, 0.01, cfg.n_replicas("cluster_density", 200), rng.child(1))
+        512, 0.01, cfg.n_replicas("cluster_density"), rng.child(1))
     extras = [("cluster_counts.csv",
                lambda p, v=vals: write_replica_csv(
                    p, ["replica", "distinct_clusters"],
@@ -258,14 +258,14 @@ def bundle_skeleton_sp(cfg: RunConfig, rng: RngStream):
 
 
 def bundle_stopped(cfg: RunConfig, rng: RngStream):
-    n = cfg.n_replicas("stopped", 5000)
+    n = cfg.n_replicas("stopped")
     report = verify.test_stopped_equivalence(
         DiffusionSpec.arratia(), (0.0, 1.0), 1.0, n, rng.child(0))
     return [report], []
 
 
 def bundle_shift(cfg: RunConfig, rng: RngStream):
-    n = cfg.n_replicas("shift", 2000)
+    n = cfg.n_replicas("shift")
     scfg = shift_skeleton_config()
     reports = verify.test_shift_invariance(
         scfg, SHIFT_HS, SHIFT_QUERIES, n, rng.child(0))
@@ -279,7 +279,7 @@ def bundle_rng(cfg: RunConfig, rng: RngStream):
     reports.append(exact_report(
         "rng_determinism", int(np.any(g1 != g2)), 64,
         notes="identical (seed, path) must reproduce identical draws"))
-    k, n = 8, cfg.n_replicas("rng_battery", 20_000)
+    k, n = 8, cfg.n_replicas("rng_battery")
     draws = np.stack([rng.child(1, i).generator().standard_normal(n)
                       for i in range(k)])
     corr = np.corrcoef(draws)
@@ -297,7 +297,7 @@ def bundle_rng(cfg: RunConfig, rng: RngStream):
 
 def bundle_negative_controls(cfg: RunConfig, rng: RngStream):
     reports = []
-    n = cfg.n_replicas("control_meeting", 20_000)
+    n = cfg.n_replicas("control_meeting")
     reports.append(_controlled(
         "control_meeting_bound_no_bridge",
         verify.test_meeting_bound(DiffusionSpec.arratia(), 0.0, 0.1, -10.0,
@@ -305,34 +305,32 @@ def bundle_negative_controls(cfg: RunConfig, rng: RngStream):
                                   use_bridge=False)))
     rep, _ = verify.test_cluster_count(
         DiffusionSpec.arratia(), (0.0, 1.0), 0.0, 1.0, 512,
-        cfg.n_replicas("control_cluster", 20), rng.child(1), detection="off")
+        cfg.n_replicas("control_cluster"), rng.child(1), detection="off")
     reports.append(_controlled("control_cluster_count_detector_off", rep))
     reports.append(_controlled(
         "control_marginal_inflated_sigma",
         verify.test_marginal_law(DiffusionSpec.arratia(), 0.0, 1.0,
-                                 cfg.n_replicas("control_marginal", 10_000),
+                                 cfg.n_replicas("control_marginal"),
                                  rng.child(2), sigma_scale=1.25)))
     reports.append(_controlled(
         "control_small_time_jumps",
         verify.test_small_time_continuity(
             DiffusionSpec.arratia(), 0.0, 0.75, (0.2, 0.1, 0.05, 0.02),
-            cfg.n_replicas("control_small_time", 20_000), rng.child(3),
+            cfg.n_replicas("control_small_time"), rng.child(3),
             jump_rate=2.0)))
     reports.append(_controlled(
         "control_stopped_nonstopped_oracle",
         verify.test_stopped_equivalence(
             DiffusionSpec.arratia(), (0.0, 1.0), 1.0,
-            cfg.n_replicas("control_stopped", 1500), rng.child(4),
+            cfg.n_replicas("control_stopped"), rng.child(4),
             hostile_no_stop=True)))
-    hostile_cfg = verify.shift_invariance_config(
-        DriftInjectedSpec(kind="arratia", drift_amp=1.5, drift_period=0.5),
-        window=(0.0, 1.0), dx=1.0 / 64, t0=0.0, t1=1.5, dt=1e-3,
-        row_period=0.05, queries=SHIFT_QUERIES[:2], hs=(0.25,))
+    hostile_cfg = shift_skeleton_config(
+        DriftInjectedSpec(kind="arratia", drift_amp=1.5, drift_period=0.5))
     reports.append(_controlled(
         "control_shift_invariance_drift",
         verify.test_shift_invariance(
             hostile_cfg, (0.25,), SHIFT_QUERIES[:2],
-            cfg.n_replicas("control_shift", 500), rng.child(5))))
+            cfg.n_replicas("control_shift"), rng.child(5))))
     return reports, []
 
 

@@ -107,7 +107,9 @@ def cmd_verify(cfg: RunConfig, bundles=None) -> int:
         ok = all(r.ok for r in reports)
         all_ok &= ok
         for r in reports:
-            print(f"[{name}] {'PASS' if r.ok else 'FAIL'} {r.name}")
+            print(f"[{name}] {'PASS' if r.ok else 'FAIL'} {r.name} "
+                  f"statistic={r.statistic:.6g} reference={r.reference:.6g} "
+                  f"mc_std_error={r.mc_std_error:.6g} replicas={r.replicas}")
     write_manifest(out, cfg)
     print(f"verify: {'all green' if all_ok else 'FAILURES PRESENT'} -> {out}")
     return 0 if all_ok else 1

@@ -9,11 +9,24 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .motions import MotionModel
-from .skeleton import SkeletonConfig, model_from_dict
+from .skeleton import MAX_GRID, SkeletonConfig, model_from_dict
 
 DEFAULT_SKELETON = {
     "window": [0.0, 1.0], "dx": 1.0 / 32, "t0": 0.0, "t1": 1.0,
     "dt": 1e-3, "row_period": None, "observe": "all",
+}
+
+# default replica count of every check the bundles size; a run config's
+# `replicas` may override any of these keys, and `scale` multiplies them all
+REPLICA_DEFAULTS = {
+    "counterexample": 10_000, "counterexample_corr": 100_000,
+    "axioms": 10_000, "cocycle": 1000, "cocycle_skeletons": 5,
+    "no_meet": 100_000, "marginal": 10_000, "ou_moments": 100_000,
+    "small_time": 40_000, "meeting_bound": 100_000, "cluster_count": 200,
+    "cluster_density": 200, "stopped": 5000, "shift": 2000,
+    "rng_battery": 20_000, "control_meeting": 20_000, "control_cluster": 20,
+    "control_marginal": 10_000, "control_small_time": 20_000,
+    "control_stopped": 1500, "control_shift": 500,
 }
 
 KNOWN_BUNDLES = (
@@ -46,11 +59,18 @@ class RunConfig:
             raise ConfigError("seed must fit in 64 bits")
         if not 0 < self.scale < math.inf:
             raise ConfigError("scale must be positive and finite")
-        for bundle, n in self.replicas.items():
+        for key, n in self.replicas.items():
+            if key not in REPLICA_DEFAULTS:
+                raise ConfigError(f"unknown replicas key {key!r}; known: "
+                                  f"{sorted(REPLICA_DEFAULTS)}")
             if (isinstance(n, bool) or not isinstance(n, (int, float))
                     or not 0 < n < math.inf):
-                raise ConfigError(f"replicas[{bundle!r}] must be a positive "
+                raise ConfigError(f"replicas[{key!r}] must be a positive "
                                   f"finite number, not {n!r}")
+        for key, n in dict(REPLICA_DEFAULTS, **self.replicas).items():
+            if not n * self.scale <= MAX_GRID:
+                raise ConfigError(f"{n * self.scale:.4g} {key} replicas "
+                                  f"exceed the cap of {MAX_GRID:,}")
         for b in self.bundles:
             if b not in KNOWN_BUNDLES:
                 raise ConfigError(f"unknown bundle {b!r}; known: {KNOWN_BUNDLES}")
@@ -70,8 +90,10 @@ class RunConfig:
             row_period=sk["row_period"], start_times=sk.get("start_times"),
             observe=sk["observe"])
 
-    def n_replicas(self, bundle: str, default: int) -> int:
-        n = self.replicas.get(bundle, default)
+    def n_replicas(self, key: str) -> int:
+        """The replica count of a REPLICA_DEFAULTS key: its override or
+        default, times scale, rounded and at least 1."""
+        n = self.replicas.get(key, REPLICA_DEFAULTS[key])
         return max(1, int(round(n * self.scale)))
 
     def to_dict(self) -> dict:

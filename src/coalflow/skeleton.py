@@ -12,7 +12,9 @@ parent, merge step) before it steps, keeps the live clusters as numpy arrays
 each injection: merges keep the order of the live clusters, so the ids
 place every record, and grouped by id the records are the histories (one
 flat array in id order, with offsets).  An observed step's live arrays are
-its cluster snapshot.
+its cluster snapshot.  A history-free build keeps only the snapshots: it
+records nothing per step and allocates no flat array, and its flow answers
+reads at observed steps only (any other step is an OffGridTime).
 
 One engine builds a block of independent replicas in lockstep: their live
 clusters lie end to end in the live arrays, one segment per replica, and
@@ -254,13 +256,16 @@ class SkeletonFlow:
     step on, positions are read through the absorbing trajectory, so merged
     tails are stored exactly once and equality after merging is exact.  The
     histories lie end to end in id order in one flat array: trajectory i's
-    is flat[offsets[i]:offsets[i + 1]].
+    is flat[offsets[i]:offsets[i + 1]].  A history-free flow (flat and
+    offsets None) reads positions off its snapshots, so only its observed
+    steps can be read.
     """
 
     def __init__(self, config: SkeletonConfig, seed: int, path: tuple,
                  u0: np.ndarray, act: np.ndarray, parent: np.ndarray,
-                 merge_step: np.ndarray, flat: np.ndarray,
-                 offsets: np.ndarray, snapshots: Optional[dict] = None):
+                 merge_step: np.ndarray, flat: Optional[np.ndarray],
+                 offsets: Optional[np.ndarray],
+                 snapshots: Optional[dict] = None):
         self.config = config
         self.seed = seed
         self.rng_path = tuple(path)
@@ -274,10 +279,18 @@ class SkeletonFlow:
         self.snapshots = snapshots or {}
         self._lazy_cache: dict = {}
 
+    def _no_history(self, k=None) -> OffGridTime:
+        at = "every step" if k is None else f"step {k}"
+        return OffGridTime(
+            f"{at} needed, but the skeleton was built without histories and "
+            f"observed only steps {sorted(self.snapshots)}")
+
     @cached_property
     def hist(self) -> list:
         """Per-trajectory history views of the flat array, made on first
         use (for inspection; the flow itself reads the flat array)."""
+        if self.flat is None:
+            raise self._no_history()
         off = self.offsets.tolist()
         return [self.flat[a:b] for a, b in zip(off[:-1], off[1:])]
 
@@ -304,15 +317,26 @@ class SkeletonFlow:
         return j
 
     def value(self, tid: int, k: int) -> float:
-        """Y_{(s,u)} at grid step k; frozen at u before activation."""
+        """Y_{(s,u)} at grid step k; frozen at u before activation.  After
+        it, tid resolves to the live id carrying it at k, whose position is
+        read from its history, or on a history-free flow from snapshot k
+        (OffGridTime when step k was not observed)."""
         if k < self.act[tid]:
             return float(self.u0[tid])
         j = self.resolve(tid, k)
+        if self.flat is None:
+            if k not in self.snapshots:
+                raise self._no_history(k)
+            ids, pos, _ = self.snapshots[k]
+            return float(pos[ids == j][0])
         return float(self.flat[self.offsets[j] + k - self.act[j]])
 
     def series(self, tid: int, k_from: int, k_to: int) -> np.ndarray:
         """Positions of tid at steps k_from..k_to inclusive: u0 before
         activation, then the history slices along tid's merge chain."""
+        if self.flat is None:
+            return np.array([self.value(tid, k)
+                             for k in range(k_from, k_to + 1)])
         j = int(tid)
         k = max(k_from, int(self.act[j]))
         parts = [np.full(max(0, min(k, k_to + 1) - k_from), self.u0[j])]
@@ -340,6 +364,8 @@ class SkeletonFlow:
             return self.snapshots[k]
         if k in self._lazy_cache:
             return self._lazy_cache[k]
+        if self.flat is None:
+            raise self._no_history(k)
         ms = self.merge_step
         ids = np.flatnonzero((self.act <= k) & ((ms < 0) | (ms > k)))
         minact = self.act[ids]
@@ -365,6 +391,8 @@ class SkeletonFlow:
     # -- persistence ---------------------------------------------------------
 
     def save(self, path) -> Path:
+        if self.flat is None:
+            raise self._no_history()
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         lens = np.diff(self.offsets)
@@ -444,7 +472,7 @@ def _read_exact(fh, n: int) -> bytes:
     return data
 
 
-def build_skeleton(config: SkeletonConfig, rng):
+def build_skeleton(config: SkeletonConfig, rng, history: bool = True):
     """Run the grid injection + coalescing stepping loop.
 
     The trajectory table is laid out first: ids run in step order, and
@@ -463,6 +491,11 @@ def build_skeleton(config: SkeletonConfig, rng):
     into one segment per replica, so each step's proposal, bridge test,
     collapse and merge bookkeeping run once for the whole block.  Harris
     models build one stream at a time (a block of more raises TypeError).
+
+    With history=False nothing is recorded per step and no history array is
+    made: each flow keeps only the snapshots of config.observe, and reads
+    at any other step raise OffGridTime.  Draws, merges and snapshots are
+    those of the build with histories.
     """
     # replica r's trajectory i has the block id r * n + i (n trajectories a
     # replica), and replica r's live clusters are live_*[seg[r]:seg[r + 1]]
@@ -544,23 +577,49 @@ def build_skeleton(config: SkeletonConfig, rng):
                 ids.append(np.concatenate([live_id[a:b], host[fresh]])[order])
             seg = np.concatenate(([0], np.cumsum([p.size for p in pos])))
             live_pos, live_id = np.concatenate(pos), np.concatenate(ids)
-            injected.append((k, live_id))
+            if history:
+                injected.append((k, live_id))
         # the live arrays are replaced, never written in place, so the
         # records and snapshots can share them
-        records.append(live_pos)
+        if history:
+            records.append(live_pos)
         if k in observed:
             snaps[k] = (live_id, live_pos, seg)
 
-    # Own history lengths follow from act and merge_step.  Merges keep the
-    # order of the live clusters, so the live ids at a step are those of
-    # the last injection still live, in its order: scatter each step's
-    # positions into their id-ordered places, a run of steps at a time,
-    # freeing the records as they go.
+    if history:
+        flat, offsets = _histories(records, injected, np.tile(act, m),
+                                   merge_step, K)
+    flows = []
+    for r, stream in enumerate(rngs):
+        a, b = r * n, (r + 1) * n
+        snapshots = {}
+        for k, (ids, pos, sg) in snaps.items():
+            ids, pos = ids[sg[r]:sg[r + 1]], pos[sg[r]:sg[r + 1]]
+            if r:
+                ids = ids - a
+            snapshots[k] = (ids, pos, act[ids])
+        own = ((flat[offsets[a]:offsets[b]], offsets[a:b + 1] - offsets[a])
+               if history else (None, None))
+        flows.append(SkeletonFlow(
+            config, stream.seed, stream.path, u0, act,
+            parent[a:b] - a, merge_step[a:b], *own, snapshots=snapshots))
+    return flows[0] if isinstance(rng, RngStream) else flows
+
+
+def _histories(records: list, injected: list, act: np.ndarray,
+               merge_step: np.ndarray, K: int):
+    """(flat, offsets) of a build from its per-step records, which are
+    freed as they are used.
+
+    Own history lengths follow from act and merge_step.  Merges keep the
+    order of the live clusters, so the live ids at a step are those of the
+    last injection still live, in its order: scatter each step's positions
+    into their id-ordered places, a run of steps at a time.
+    """
     ends = np.where(merge_step < 0, K + 1, merge_step)
-    act_all = np.tile(act, m)
-    offsets = np.concatenate(([0], np.cumsum(ends - act_all)))
+    offsets = np.concatenate(([0], np.cumsum(ends - act)))
     flat = np.empty(int(offsets[-1]))
-    at_step0 = offsets[:-1] - act_all
+    at_step0 = offsets[:-1] - act
     b = K + 1
     for a, ids in reversed(injected):
         run = max(1, _SCATTER_ENTRIES // max(ids.size, 1))
@@ -571,21 +630,7 @@ def build_skeleton(config: SkeletonConfig, rng):
                 records[k0:k0 + ks.size])
         del records[a:]
         b = a
-    flows = []
-    for r, stream in enumerate(rngs):
-        a, b = r * n, (r + 1) * n
-        snapshots = {}
-        for k, (ids, pos, sg) in snaps.items():
-            ids, pos = ids[sg[r]:sg[r + 1]], pos[sg[r]:sg[r + 1]]
-            if r:
-                ids = ids - a
-            snapshots[k] = (ids, pos, act[ids])
-        flows.append(SkeletonFlow(
-            config, stream.seed, stream.path, u0, act,
-            parent[a:b] - a, merge_step[a:b],
-            flat[offsets[a]:offsets[b]], offsets[a:b + 1] - offsets[a],
-            snapshots=snapshots))
-    return flows[0] if isinstance(rng, RngStream) else flows
+    return flat, offsets
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ with expect_failure set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -29,7 +29,7 @@ from .skeleton import SkeletonConfig, build_skeleton, cluster_count_bound
 from .stats import energy_two_sample, ks_against_normal, ks_two_sample
 
 # replicas per lockstep skeleton build in shift_invariance_samples
-SHIFT_BLOCK = 8
+SHIFT_BLOCK = 32
 
 
 # ---------------------------------------------------------------------------
@@ -333,20 +333,6 @@ def test_stopped_equivalence(spec: DiffusionSpec, starts, t: float,
                          notes=notes)
 
 
-def shift_invariance_config(model, window, dx, t0, t1, dt, row_period,
-                            queries, hs) -> SkeletonConfig:
-    """Skeleton config whose observed times cover every shifted query time;
-    h must be a multiple of the row period for exact grid alignment."""
-    observe = set()
-    for (s, _x, _t) in queries:
-        observe.add(round(s, 12))
-        for h in hs:
-            observe.add(round(s + h, 12))
-    return SkeletonConfig.rows(window=window, dx=dx, t0=t0, t1=t1, dt=dt,
-                               model=model, row_period=row_period,
-                               observe=tuple(sorted(observe)))
-
-
 # ---------------------------------------------------------------------------
 # shift invariance of the skeleton-envelope law
 
@@ -373,16 +359,20 @@ def shift_invariance_samples(config: SkeletonConfig, queries, h: float,
     """Evaluate theta_h-shifted queries on fresh independent skeletons.
 
     Replica r's skeleton is built from rng.child(r), SHIFT_BLOCK replicas
-    in lockstep, on config cut at the last shifted query time (the latest
-    t + h; SkeletonConfig.until).  A lockstep build draws for each replica
-    what its one-stream build draws, and the cut build is the full build's
-    prefix, so every value equals that of a full-horizon skeleton built
-    alone from rng.child(r).
+    in lockstep and without histories, on config cut at the last shifted
+    query time (the latest t + h; SkeletonConfig.until) and observing
+    exactly the shifted s and t of the queries, which are all a query
+    reads.  A lockstep build draws for each replica what its one-stream
+    build draws, the cut build is the full build's prefix, and observing a
+    step changes no draw, so every value equals that of a full-horizon
+    skeleton built alone from rng.child(r).  Any h whose shifted times lie
+    on the grid works; config.observe is not used.
     """
     off = Fraction(h)
-    k_end = max((config.snap_index(float(Fraction(t) + off))
-                 for _, _, t in queries), default=config.n_steps)
-    cut = config.until(max(k_end, 1))
+    shifted = [float(Fraction(u) + off) for s, _, t in queries for u in (s, t)]
+    k_end = max(map(config.snap_index, shifted), default=config.n_steps)
+    cut = replace(config.until(max(k_end, 1)),
+                  observe=tuple(sorted(set(shifted))))
     vals = np.empty((replicas, len(queries)), dtype=float)
     for lo in range(0, replicas, SHIFT_BLOCK):
         streams = [rng.child(r)
@@ -390,7 +380,7 @@ def shift_invariance_samples(config: SkeletonConfig, queries, h: float,
         # a block is dropped before the next one is built
         vals[lo:lo + len(streams)] = [
             _shifted_values(skel, queries, h)
-            for skel in build_skeleton(cut, streams)]
+            for skel in build_skeleton(cut, streams, history=False)]
     return vals
 
 

@@ -136,10 +136,8 @@ def test_c06_shift_invariance():
                                            RngStream(SEED, (6,)))
     fails = [r.name for r in reports if not r.passed]
     n_ctl = n_of(500, floor=100)
-    hostile_cfg = verify.shift_invariance_config(
-        DriftInjectedSpec(kind="arratia", drift_amp=1.5, drift_period=0.5),
-        window=(0.0, 1.0), dx=1.0 / 64, t0=0.0, t1=1.5, dt=1e-3,
-        row_period=0.05, queries=SHIFT_QUERIES[:2], hs=(0.25,))
+    hostile_cfg = shift_skeleton_config(
+        DriftInjectedSpec(kind="arratia", drift_amp=1.5, drift_period=0.5))
     control = verify.test_shift_invariance(
         hostile_cfg, (0.25,), SHIFT_QUERIES[:2], n_ctl,
         RngStream(SEED, (6, 1)))

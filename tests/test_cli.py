@@ -66,7 +66,10 @@ def test_bad_skeleton_config_exits_2(tmp_path, capsys, skeleton):
     {"model": 5}, {"skeleton": 5}, {"scale": "a"}, {"scale": float("inf")},
     {"seed": "x"}, {"bundles": 5}, {"replicas": 5}, {"export_stride": "a"},
     {"replicas": {"stopped": "a"}}, {"replicas": {"stopped": 1e400}},
-    {"replicas": {"stopped": 0}}, {"replicas": {"stopped": True}}])
+    {"replicas": {"stopped": 0}}, {"replicas": {"stopped": True}},
+    # a key no check reads, and counts above the cap
+    {"replicas": {"stoped": 5}}, {"replicas": {"stopped": 1e300}},
+    {"scale": 1e200}])
 def test_bad_run_config_exits_2(tmp_path, capsys, overrides):
     cfg_path = write_config(tmp_path, **overrides)
     assert main(["simulate", "--config", str(cfg_path)]) == 2

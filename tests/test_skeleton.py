@@ -227,6 +227,51 @@ def test_lockstep_block_of_harris_is_one_stream_only():
         build_skeleton(cfg, [RngStream(3, (1,)), RngStream(3, (2,))])
 
 
+@pytest.mark.parametrize("width", [1, 3, 32])
+@pytest.mark.parametrize("model", [
+    DiffusionSpec.arratia(), DiffusionSpec.ornstein_uhlenbeck(1.0, 1.3),
+    DriftInjectedSpec(kind="arratia", drift_amp=1.5)],
+    ids=["arratia", "ou", "drift"])
+def test_history_free_build_equals_build_with_histories(model, width):
+    cfg = small_config(t1=0.3, model=model, observe=(0.0, 0.1, 0.17, 0.3))
+    streams = [RngStream(22, (3, r)) for r in range(width)]
+    free = build_skeleton(cfg, streams, history=False)
+    full = build_skeleton(cfg, streams)
+    for got, want in zip(free, full, strict=True):
+        assert got.flat is None and got.offsets is None
+        for name in ("u0", "act", "parent", "merge_step"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert sorted(got.snapshots) == sorted(want.snapshots)
+        for k, snap in want.snapshots.items():
+            for a, b in zip(got.snapshots[k], snap):
+                assert a.dtype == b.dtype and np.array_equal(a, b), k
+            assert all(got.value(i, k) == want.value(i, k)
+                       for i in range(got.n_traj))
+
+
+def test_history_free_flow_refuses_unobserved_steps(tmp_path):
+    cfg = small_config(observe=(0.25,))
+    skel = build_skeleton(cfg, RngStream(9, (0,)), history=False)
+    k = cfg.snap_index(0.25)
+    tid = int(skel.clusters_at_index(k)[0][-1])
+    late = int(np.flatnonzero(skel.act > k)[0])
+    assert skel.value(late, k) == skel.u0[late]     # frozen, no read needed
+    assert np.array_equal(skel.series(tid, k, k), [skel.value(tid, k)])
+    unobserved = f"step {k + 1} needed, .* built without histories"
+    with pytest.raises(OffGridTime, match=unobserved):
+        skel.value(tid, k + 1)
+    with pytest.raises(OffGridTime, match=unobserved):
+        skel.series(tid, k, k + 1)
+    with pytest.raises(OffGridTime, match=unobserved):
+        skel.clusters_at_index(k + 1)
+    with pytest.raises(OffGridTime, match="built without histories"):
+        skel.hist
+    with pytest.raises(OffGridTime, match="built without histories"):
+        skel.save(tmp_path / "skel.cfsk")
+    assert not (tmp_path / "skel.cfsk").exists()
+
+
 def test_until_builds_the_prefix():
     cfg = small_config(t1=0.3, extra_starts=((0.1, 0.3), (0.25, 0.7)),
                        observe=(0.05, 0.1, 0.2, 0.3))

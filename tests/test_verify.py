@@ -8,7 +8,7 @@ from coalflow.motions import (DiffusionSpec, HarrisSpec,
                               propose_diffusion_step, step_system)
 from coalflow.flows import EvalQuery, evaluate, shift, skeleton_flow_element
 from coalflow.rng import RngStream
-from coalflow.skeleton import build_skeleton
+from coalflow.skeleton import SkeletonConfig, build_skeleton
 
 OU = DiffusionSpec.ornstein_uhlenbeck(1.0, 1.0)
 GENERIC = DiffusionSpec.generic(lambda x: -np.sin(x),
@@ -256,9 +256,10 @@ def _reference_shift_samples(config, queries, h, replicas, rng):
 def test_shift_samples_equal_per_replica_full_horizon_loop(model):
     from coalflow.bundles import SHIFT_QUERIES
     queries = SHIFT_QUERIES[:3] + SHIFT_QUERIES[-2:]
-    cfg = verify.shift_invariance_config(
-        model, window=(0.0, 1.0), dx=1.0 / 32, t0=0.0, t1=1.5, dt=2e-3,
-        row_period=0.05, queries=queries, hs=(0.25,))
+    # observing no step makes the reference rebuild every cluster set
+    cfg = SkeletonConfig.rows(window=(0.0, 1.0), dx=1.0 / 32, t0=0.0,
+                              t1=1.5, dt=2e-3, model=model, row_period=0.05,
+                              observe=())
     replicas = 2 * verify.SHIFT_BLOCK + 3
     rng = RngStream(8, (4,))
     for h in (0.0, 0.25, 0.5):
@@ -270,18 +271,17 @@ def test_shift_samples_equal_per_replica_full_horizon_loop(model):
 def test_shift_invariance_small_and_control():
     from coalflow.bundles import SHIFT_QUERIES
     queries = SHIFT_QUERIES[:3]
-    cfg = verify.shift_invariance_config(
-        DiffusionSpec.arratia(), window=(0.0, 1.0), dx=1.0 / 32, t0=0.0,
-        t1=1.25, dt=2e-3, row_period=0.05, queries=queries, hs=(0.25,))
+    cfg = SkeletonConfig.rows(window=(0.0, 1.0), dx=1.0 / 32, t0=0.0,
+                              t1=1.25, dt=2e-3, model=DiffusionSpec.arratia(),
+                              row_period=0.05)
     reports = verify.test_shift_invariance(cfg, (0.25,), queries, 400,
                                            RngStream(8, (0,)))
     assert all(r.passed for r in reports), [
         (r.name, r.mc_std_error) for r in reports if not r.passed]
-    hostile = verify.shift_invariance_config(
-        verify.DriftInjectedSpec(kind="arratia", drift_amp=1.5,
-                                 drift_period=0.5),
+    hostile = SkeletonConfig.rows(
         window=(0.0, 1.0), dx=1.0 / 32, t0=0.0, t1=1.25, dt=2e-3,
-        row_period=0.05, queries=queries, hs=(0.25,))
+        model=verify.DriftInjectedSpec(kind="arratia", drift_amp=1.5,
+                                       drift_period=0.5), row_period=0.05)
     bad = verify.test_shift_invariance(hostile, (0.25,), queries, 400,
                                        RngStream(8, (1,)))
     assert not all(r.passed for r in bad)
