@@ -67,10 +67,9 @@ def cmd_simulate(cfg: RunConfig) -> int:
     skel = build_skeleton(scfg, rng)
     skel.save(out / "skeleton.cfsk")
 
-    stride = max(1, cfg.export_stride)
     rows = []
     plot_rows = []
-    for k in range(0, skel.n_steps + 1, stride):
+    for k in range(0, skel.n_steps + 1, cfg.export_stride):
         ids, pos, _ = skel.clusters_at_index(k)
         t = float(skel.times[k])
         for i, p in zip(ids.tolist(), pos.tolist()):

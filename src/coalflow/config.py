@@ -51,14 +51,16 @@ class RunConfig:
         for name, kind in (("seed", int), ("scale", (int, float)),
                            ("skeleton", dict), ("bundles", (list, tuple)),
                            ("replicas", dict), ("export_stride", int)):
-            if not isinstance(getattr(self, name), kind):
-                raise ConfigError(f"{name} has the wrong type: "
-                                  f"{getattr(self, name)!r}")
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, kind):
+                raise ConfigError(f"{name} has the wrong type: {v!r}")
         object.__setattr__(self, "bundles", tuple(self.bundles))
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in 64 bits")
         if not 0 < self.scale < math.inf:
             raise ConfigError("scale must be positive and finite")
+        if self.export_stride < 1:
+            raise ConfigError("export_stride must be at least 1")
         for key, n in self.replicas.items():
             if key not in REPLICA_DEFAULTS:
                 raise ConfigError(f"unknown replicas key {key!r}; known: "
@@ -77,6 +79,8 @@ class RunConfig:
         extra = set(self.skeleton) - set(DEFAULT_SKELETON) - {"start_times"}
         if extra:
             raise ConfigError(f"unknown skeleton keys: {sorted(extra)}")
+        if self.skeleton.get("observe", "all") != "all":
+            raise ConfigError('skeleton.observe must be "all"')
         model_from_dict(self.model)  # validates model dict
 
     def motion_model(self) -> MotionModel:
@@ -87,8 +91,7 @@ class RunConfig:
         return SkeletonConfig.rows(
             window=sk["window"], dx=sk["dx"], t0=sk["t0"], t1=sk["t1"],
             dt=sk["dt"], model=self.motion_model(),
-            row_period=sk["row_period"], start_times=sk.get("start_times"),
-            observe=sk["observe"])
+            row_period=sk["row_period"], start_times=sk.get("start_times"))
 
     def n_replicas(self, key: str) -> int:
         """The replica count of a REPLICA_DEFAULTS key: its override or

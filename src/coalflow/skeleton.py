@@ -7,14 +7,14 @@ activation, co-evolve under the coalescing n-point stepper afterwards, and
 share storage through their absorbing trajectory once merged.
 
 The builder lays out the trajectory table (start value, activation step,
-parent, merge step) before it steps, keeps the live clusters as numpy arrays
-(ids, positions) and records the positions once per step and the ids at
-each injection: merges keep the order of the live clusters, so the ids
-place every record, and grouped by id the records are the histories (one
-flat array in id order, with offsets).  An observed step's live arrays are
-its cluster snapshot.  A history-free build keeps only the snapshots: it
-records nothing per step and allocates no flat array, and its flow answers
-reads at observed steps only (any other step is an OffGridTime).
+parent, merge step) before it steps and keeps the live clusters as numpy
+arrays (ids, positions).  config.observe alone decides what it keeps: with
+"all", the positions once per step and the ids at each injection (merges
+keep the order of the live clusters, so the ids place every record), which
+grouped by id are the histories (one flat array in id order, with
+offsets); with a tuple of times, only those steps' live arrays as cluster
+snapshots, stepping no further than the last (a history-free build: any
+other step is an OffGridTime).
 
 One engine builds a block of independent replicas in lockstep: their live
 clusters lie end to end in the live arrays, one segment per replica, and
@@ -82,18 +82,23 @@ def model_from_dict(d: dict) -> MotionModel:
         if kind == "arratia":
             return DiffusionSpec.arratia()
         if kind == "ou":
-            return DiffusionSpec.ornstein_uhlenbeck(d["rate"], d["sigma"])
+            return DiffusionSpec.ornstein_uhlenbeck(
+                _finite(d["rate"], "rate"), _finite(d["sigma"], "sigma"))
         if kind == "harris":
-            return HarrisSpec(gamma=d["gamma"],
-                              merge_gap=d.get("merge_gap", 1e-9))
+            return HarrisSpec(
+                gamma=_finite(d["gamma"], "gamma"),
+                merge_gap=_finite(d.get("merge_gap", 1e-9), "merge_gap"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad model {d!r}: {exc!r}") from exc
     raise ConfigError(f"unknown model kind {kind!r}")
 
 
-def _finite(v, what: str) -> None:
-    if not isinstance(v, numbers.Real) or not math.isfinite(v):
+def _finite(v, what: str):
+    """v, or a ConfigError when it is not a finite number (a bool is not)."""
+    if (isinstance(v, bool) or not isinstance(v, numbers.Real)
+            or not math.isfinite(v)):
         raise ConfigError(f"{what} must be a finite number, got {v!r}")
+    return v
 
 
 def _tuple(v, what: str) -> tuple:
@@ -132,7 +137,7 @@ class SkeletonConfig:
     dt: float
     start_times: tuple
     model: MotionModel
-    observe: Union[str, tuple] = "all"   # "all" or times whose cluster sets are recorded
+    observe: Union[str, tuple] = "all"   # "all" or the only times a build keeps
     extra_starts: tuple = ()             # explicit (s, u) points beyond the product grid
 
     def __post_init__(self):
@@ -152,6 +157,8 @@ class SkeletonConfig:
                                   _tuple(self.extra_starts, "extra_starts")))
         if self.observe != "all":
             put("observe", _tuple(self.observe, "observe"))
+            if not self.observe:
+                raise ConfigError("observe names no time: a build keeps nothing")
         observed = self.observe if self.observe != "all" else ()
         for s in (*self.start_times, *observed,
                   *(s for s, _ in self.extra_starts)):
@@ -213,19 +220,17 @@ class SkeletonConfig:
 
     def until(self, k: int) -> "SkeletonConfig":
         """The same grid cut at step k >= 1: t1 moves to grid time k, and
-        the start rows, extra starts and observed times after it are
-        dropped.  Building on the cut config draws what the first k steps of
-        a build on self draw, so the result is that build's prefix in every
-        array.  self is returned when nothing is cut, or when no start row
-        would be left."""
+        the start rows and extra starts after it are dropped (an observed
+        time after it is a ConfigError).  Building on the cut config draws
+        what the first k steps of a build on self draw, so the result is
+        that build's prefix in every array.  self is returned when nothing
+        is cut, or when no start row would be left."""
         def kept(ts):
             return tuple(s for s in ts if self.snap_index(s) <= k)
         if k >= self.n_steps or not kept(self.start_times):
             return self
         return replace(
             self, t1=self.t0 + k * self.dt, start_times=kept(self.start_times),
-            observe=(self.observe if self.observe == "all"
-                     else kept(self.observe)),
             extra_starts=tuple(p for p in self.extra_starts
                                if self.snap_index(p[0]) <= k))
 
@@ -256,9 +261,9 @@ class SkeletonFlow:
     step on, positions are read through the absorbing trajectory, so merged
     tails are stored exactly once and equality after merging is exact.  The
     histories lie end to end in id order in one flat array: trajectory i's
-    is flat[offsets[i]:offsets[i + 1]].  A history-free flow (flat and
-    offsets None) reads positions off its snapshots, so only its observed
-    steps can be read.
+    is flat[offsets[i]:offsets[i + 1]]; a full flow keeps nothing else.  A
+    history-free flow (flat and offsets None) keeps only its observed
+    steps' snapshots, and only those steps can be read.
     """
 
     def __init__(self, config: SkeletonConfig, seed: int, path: tuple,
@@ -358,8 +363,8 @@ class SkeletonFlow:
 
     def clusters_at_index(self, k: int):
         """(ids, positions, min_act) of live clusters at step k, sorted by
-        position; recorded at build time for observed steps, otherwise read
-        off act/merge_step as the module docstring says, and cached."""
+        position: a history-free flow's snapshot, or read off act/merge_step
+        as the module docstring says, and cached."""
         if k in self.snapshots:
             return self.snapshots[k]
         if k in self._lazy_cache:
@@ -472,7 +477,7 @@ def _read_exact(fh, n: int) -> bytes:
     return data
 
 
-def build_skeleton(config: SkeletonConfig, rng, history: bool = True):
+def build_skeleton(config: SkeletonConfig, rng):
     """Run the grid injection + coalescing stepping loop.
 
     The trajectory table is laid out first: ids run in step order, and
@@ -492,16 +497,20 @@ def build_skeleton(config: SkeletonConfig, rng, history: bool = True):
     collapse and merge bookkeeping run once for the whole block.  Harris
     models build one stream at a time (a block of more raises TypeError).
 
-    With history=False nothing is recorded per step and no history array is
-    made: each flow keeps only the snapshots of config.observe, and reads
-    at any other step raise OffGridTime.  Draws, merges and snapshots are
-    those of the build with histories.
+    With config.observe "all" a flow keeps its histories and nothing else.
+    With a tuple of times the build runs on config.until(its last observed
+    step), records nothing per step and keeps only the observed steps'
+    snapshots; its draws and tables are the full build's prefix.
     """
     # replica r's trajectory i has the block id r * n + i (n trajectories a
     # replica), and replica r's live clusters are live_*[seg[r]:seg[r + 1]]
     rngs = [rng] if isinstance(rng, RngStream) else list(rng)
     if not rngs:
         return []
+    history = config.observe == "all"
+    if not history:
+        observed = {config.snap_index(t) for t in config.observe}
+        config = config.until(max(max(observed), 1))
     model = config.model
     m = len(rngs)
     lockstep = m > 1
@@ -523,8 +532,6 @@ def build_skeleton(config: SkeletonConfig, rng, history: bool = True):
     parent = np.arange(m * n)
     merge_step = np.full(m * n, -1, dtype=np.int64)
     first = np.searchsorted(act, np.arange(K + 2))  # ids first[k]:first[k+1]
-    observed = (range(K + 1) if config.observe == "all"
-                else {config.snap_index(t) for t in config.observe})
 
     gens = [r.generator() for r in rngs]
     gen = gens if lockstep else gens[0]
@@ -583,7 +590,7 @@ def build_skeleton(config: SkeletonConfig, rng, history: bool = True):
         # records and snapshots can share them
         if history:
             records.append(live_pos)
-        if k in observed:
+        elif k in observed:
             snaps[k] = (live_id, live_pos, seg)
 
     if history:

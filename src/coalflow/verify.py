@@ -359,20 +359,15 @@ def shift_invariance_samples(config: SkeletonConfig, queries, h: float,
     """Evaluate theta_h-shifted queries on fresh independent skeletons.
 
     Replica r's skeleton is built from rng.child(r), SHIFT_BLOCK replicas
-    in lockstep and without histories, on config cut at the last shifted
-    query time (the latest t + h; SkeletonConfig.until) and observing
-    exactly the shifted s and t of the queries, which are all a query
-    reads.  A lockstep build draws for each replica what its one-stream
-    build draws, the cut build is the full build's prefix, and observing a
-    step changes no draw, so every value equals that of a full-horizon
-    skeleton built alone from rng.child(r).  Any h whose shifted times lie
-    on the grid works; config.observe is not used.
+    in lockstep, observing only the shifted s and t of the queries (all a
+    query reads).  Each draws what the full-horizon build of rng.child(r)
+    alone draws up to its last observed step, so every value equals that
+    skeleton's.  Any h whose shifted times lie on the grid works;
+    config.observe is replaced.
     """
     off = Fraction(h)
-    shifted = [float(Fraction(u) + off) for s, _, t in queries for u in (s, t)]
-    k_end = max(map(config.snap_index, shifted), default=config.n_steps)
-    cut = replace(config.until(max(k_end, 1)),
-                  observe=tuple(sorted(set(shifted))))
+    shifted = {float(Fraction(u) + off) for s, _, t in queries for u in (s, t)}
+    observing = replace(config, observe=tuple(sorted(shifted)))
     vals = np.empty((replicas, len(queries)), dtype=float)
     for lo in range(0, replicas, SHIFT_BLOCK):
         streams = [rng.child(r)
@@ -380,7 +375,7 @@ def shift_invariance_samples(config: SkeletonConfig, queries, h: float,
         # a block is dropped before the next one is built
         vals[lo:lo + len(streams)] = [
             _shifted_values(skel, queries, h)
-            for skel in build_skeleton(cut, streams, history=False)]
+            for skel in build_skeleton(observing, streams)]
     return vals
 
 

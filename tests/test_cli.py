@@ -52,7 +52,9 @@ def test_config_validation():
     {"row_perod": 0.05},
     # grids above the cap, refused before any array is made
     {"window": [0, 1e9], "dx": 1e-9}, {"dt": 1e-12}, {"row_period": 1e-12},
-    {"window": [0, 1e3], "dx": 1e-3, "row_period": 1e-3}])
+    {"window": [0, 1e3], "dx": 1e-3, "row_period": 1e-3},
+    # a bool is not a number; a simulated skeleton answers every step
+    {"dx": True}, {"observe": [0.1]}])
 def test_bad_skeleton_config_exits_2(tmp_path, capsys, skeleton):
     base = json.loads(write_config(tmp_path).read_text())["skeleton"]
     cfg_path = write_config(tmp_path, skeleton={**base, **skeleton})
@@ -69,7 +71,11 @@ def test_bad_skeleton_config_exits_2(tmp_path, capsys, skeleton):
     {"replicas": {"stopped": 0}}, {"replicas": {"stopped": True}},
     # a key no check reads, and counts above the cap
     {"replicas": {"stoped": 5}}, {"replicas": {"stopped": 1e300}},
-    {"scale": 1e200}])
+    {"scale": 1e200},
+    # a bool is not a number, and a stride is at least 1
+    {"seed": True}, {"scale": True}, {"export_stride": True},
+    {"export_stride": 0}, {"export_stride": -3},
+    {"model": {"kind": "ou", "rate": True, "sigma": 1}}])
 def test_bad_run_config_exits_2(tmp_path, capsys, overrides):
     cfg_path = write_config(tmp_path, **overrides)
     assert main(["simulate", "--config", str(cfg_path)]) == 2

@@ -1,4 +1,5 @@
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,8 @@ def test_config_validation():
                   (0.1, float("inf")), (0.1,)):
         with pytest.raises(ConfigError):
             small_config(extra_starts=(extra,))
+    with pytest.raises(ConfigError, match="names no time"):
+        small_config(observe=())
     cfg = small_config()
     with pytest.raises(OutOfHorizon):
         cfg.snap_index(2.0)
@@ -149,21 +152,35 @@ def test_lazy_rebuild_matches_resolve_loop(tmp_path, make):
 @pytest.mark.parametrize("make", [_harris_every_step,
                                   _arratia_colliding_extras])
 def test_snapshot_min_act_is_act_of_live_id(make):
-    skel = make()
+    """A history-free build observing every step: each snapshot's min_act
+    is the act of its live id, and the least act in that id's cluster."""
+    full = make()
+    cfg = replace(full.config, observe=tuple(full.times.tolist()))
+    skel = build_skeleton(cfg, RngStream(full.seed, full.rng_path))
     assert sorted(skel.snapshots) == list(range(skel.n_steps + 1))
-    for ids, _, minact in skel.snapshots.values():
+    for k, (ids, _, minact) in skel.snapshots.items():
         assert np.array_equal(minact, skel.act[ids])
+        least = {}
+        for i in np.flatnonzero(skel.act <= k).tolist():
+            j = skel.resolve(i, k)
+            least[j] = min(least.get(j, int(skel.act[i])), int(skel.act[i]))
+        assert minact.tolist() == [least[j] for j in ids.tolist()]
 
 
 def _assert_same_build(got, want):
-    """Every array of two builds equal, dtypes included."""
+    """Every array of two builds equal, dtypes included; a history-free
+    build has snapshots in place of the history arrays."""
     assert (got.seed, got.rng_path) == (want.seed, want.rng_path)
     for name in ("u0", "act", "parent", "merge_step", "flat", "offsets"):
         a, b = getattr(got, name), getattr(want, name)
+        if b is None:
+            assert a is None, name
+            continue
         assert a.dtype == b.dtype and np.array_equal(a, b), name
-    assert len(got.hist) == len(want.hist)
-    for a, b in zip(got.hist, want.hist):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
+    if want.flat is not None:
+        assert len(got.hist) == len(want.hist)
+        for a, b in zip(got.hist, want.hist):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
     assert sorted(got.snapshots) == sorted(want.snapshots)
     for k, snap in want.snapshots.items():
         for a, b in zip(got.snapshots[k], snap):
@@ -180,21 +197,23 @@ GENERIC = DiffusionSpec.generic(lambda x: -np.sin(x),
     GENERIC, DriftInjectedSpec(kind="arratia", drift_amp=1.5)],
     ids=["arratia", "ou", "generic", "drift"])
 def test_lockstep_block_equals_one_stream_builds(model, width):
-    cfg = small_config(t1=0.3, row_period=0.05, model=model,
-                       observe=(0.1, 0.25))
     rng = RngStream(21, (3,))
     streams = [rng.child(r) for r in range(width)]
-    block = build_skeleton(cfg, streams)
-    assert len(block) == width
-    for skel, stream in zip(block, streams):
-        _assert_same_build(skel, build_skeleton(cfg, stream))
-    if width == 1:
-        assert build_skeleton(cfg, []) == []
-    else:
-        # the replicas step at different live counts
-        sizes = np.array([[skel.clusters_at_index(k)[0].size
-                           for skel in block] for k in range(cfg.n_steps)])
-        assert np.any(sizes.min(axis=1) < sizes.max(axis=1))
+    for observe in ("all", (0.1, 0.25)):
+        cfg = small_config(t1=0.3, row_period=0.05, model=model,
+                           observe=observe)
+        block = build_skeleton(cfg, streams)
+        assert len(block) == width
+        for skel, stream in zip(block, streams):
+            _assert_same_build(skel, build_skeleton(cfg, stream))
+        if width == 1:
+            assert build_skeleton(cfg, []) == []
+        else:
+            # the replicas step at different live counts
+            ks = block[0].snapshots or range(cfg.n_steps)
+            sizes = np.array([[skel.clusters_at_index(k)[0].size
+                               for skel in block] for k in ks])
+            assert np.any(sizes.min(axis=1) < sizes.max(axis=1))
 
 
 def test_lockstep_block_with_colliding_starters():
@@ -208,23 +227,29 @@ def test_lockstep_block_with_colliding_starters():
                               dt=1e-3, model=frozen, row_period=0.005,
                               extra_starts=extras)
     streams = [RngStream(1, (5, r)) for r in range(3)]
-    block = build_skeleton(cfg, streams)
-    for skel, stream in zip(block, streams):
-        _assert_same_build(skel, build_skeleton(cfg, stream))
-        assert int(np.count_nonzero(skel.merge_step == skel.act)) >= 14
+    every_other = tuple(cfg.times()[::2].tolist())
+    for observe in ("all", every_other):
+        kind = replace(cfg, observe=observe)
+        for skel, stream in zip(build_skeleton(kind, streams), streams):
+            _assert_same_build(skel, build_skeleton(kind, stream))
+            assert int(np.count_nonzero(skel.merge_step == skel.act)) >= 14
     colliding = _arratia_colliding_extras().config
     streams = [RngStream(4, (0,)), RngStream(4, (1,)), RngStream(4, (2,))]
-    for skel, stream in zip(build_skeleton(colliding, streams), streams):
-        _assert_same_build(skel, build_skeleton(colliding, stream))
+    for observe in ("all", (0.07, 0.1, 0.15)):
+        cfg = replace(colliding, observe=observe)
+        for skel, stream in zip(build_skeleton(cfg, streams), streams):
+            _assert_same_build(skel, build_skeleton(cfg, stream))
 
 
 def test_lockstep_block_of_harris_is_one_stream_only():
-    cfg = SkeletonConfig.rows(window=(0.0, 1.0), dx=0.25, t0=0.0, t1=0.02,
-                              dt=1e-3, model=HarrisSpec(gamma=1.0))
-    (skel,) = build_skeleton(cfg, [RngStream(3, (1,))])
-    _assert_same_build(skel, build_skeleton(cfg, RngStream(3, (1,))))
-    with pytest.raises(TypeError):
-        build_skeleton(cfg, [RngStream(3, (1,)), RngStream(3, (2,))])
+    for observe in ("all", (0.01, 0.015)):
+        cfg = SkeletonConfig.rows(window=(0.0, 1.0), dx=0.25, t0=0.0,
+                                  t1=0.02, dt=1e-3, observe=observe,
+                                  model=HarrisSpec(gamma=1.0))
+        (skel,) = build_skeleton(cfg, [RngStream(3, (1,))])
+        _assert_same_build(skel, build_skeleton(cfg, RngStream(3, (1,))))
+        with pytest.raises(TypeError):
+            build_skeleton(cfg, [RngStream(3, (1,)), RngStream(3, (2,))])
 
 
 @pytest.mark.parametrize("width", [1, 3, 32])
@@ -235,36 +260,41 @@ def test_lockstep_block_of_harris_is_one_stream_only():
 def test_history_free_build_equals_build_with_histories(model, width):
     cfg = small_config(t1=0.3, model=model, observe=(0.0, 0.1, 0.17, 0.3))
     streams = [RngStream(22, (3, r)) for r in range(width)]
-    free = build_skeleton(cfg, streams, history=False)
-    full = build_skeleton(cfg, streams)
+    free = build_skeleton(cfg, streams)
+    full = build_skeleton(replace(cfg, observe="all"), streams)
     for got, want in zip(free, full, strict=True):
         assert got.flat is None and got.offsets is None
+        assert want.snapshots == {}
         for name in ("u0", "act", "parent", "merge_step"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
-        assert sorted(got.snapshots) == sorted(want.snapshots)
-        for k, snap in want.snapshots.items():
-            for a, b in zip(got.snapshots[k], snap):
+        assert sorted(got.snapshots) == [0, 100, 170, 300]
+        for k, snap in got.snapshots.items():
+            for a, b in zip(snap, want.clusters_at_index(k)):
                 assert a.dtype == b.dtype and np.array_equal(a, b), k
             assert all(got.value(i, k) == want.value(i, k)
                        for i in range(got.n_traj))
 
 
 def test_history_free_flow_refuses_unobserved_steps(tmp_path):
-    cfg = small_config(observe=(0.25,))
-    skel = build_skeleton(cfg, RngStream(9, (0,)), history=False)
-    k = cfg.snap_index(0.25)
+    cfg = small_config(observe=(0.1, 0.25))
+    skel = build_skeleton(cfg, RngStream(9, (0,)))
+    # the build stops at its last observed step
+    assert skel.config == cfg.until(cfg.snap_index(0.25))
+    assert skel.n_steps == 250 and skel.act.max() == 250
+    k = cfg.snap_index(0.1)
     tid = int(skel.clusters_at_index(k)[0][-1])
     late = int(np.flatnonzero(skel.act > k)[0])
     assert skel.value(late, k) == skel.u0[late]     # frozen, no read needed
     assert np.array_equal(skel.series(tid, k, k), [skel.value(tid, k)])
-    unobserved = f"step {k + 1} needed, .* built without histories"
-    with pytest.raises(OffGridTime, match=unobserved):
-        skel.value(tid, k + 1)
-    with pytest.raises(OffGridTime, match=unobserved):
-        skel.series(tid, k, k + 1)
-    with pytest.raises(OffGridTime, match=unobserved):
-        skel.clusters_at_index(k + 1)
+    for step in (k + 1, 251):
+        unobserved = f"step {step} needed, .* built without histories"
+        with pytest.raises(OffGridTime, match=unobserved):
+            skel.value(tid, step)
+        with pytest.raises(OffGridTime, match=unobserved):
+            skel.series(tid, step - 1, step)
+        with pytest.raises(OffGridTime, match=unobserved):
+            skel.clusters_at_index(step)
     with pytest.raises(OffGridTime, match="built without histories"):
         skel.hist
     with pytest.raises(OffGridTime, match="built without histories"):
@@ -274,24 +304,31 @@ def test_history_free_flow_refuses_unobserved_steps(tmp_path):
 
 def test_until_builds_the_prefix():
     cfg = small_config(t1=0.3, extra_starts=((0.1, 0.3), (0.25, 0.7)),
-                       observe=(0.05, 0.1, 0.2, 0.3))
+                       observe=(0.05, 0.1, 0.2))
     k = cfg.snap_index(0.2)
     cut = cfg.until(k)
-    assert cut.n_steps == k and cut.observe == (0.05, 0.1, 0.2)
+    assert cut.n_steps == k and cut.observe == cfg.observe
+    with pytest.raises(ConfigError, match="outside"):
+        replace(cfg, observe=(0.1, 0.3)).until(k)
     assert cut.extra_starts == ((0.1, 0.3),)
     assert cut.start_times == cfg.start_times[:5]
     assert cfg.until(cfg.n_steps) is cfg
     late = small_config(start_times=(0.1,))
     assert late.until(late.snap_index(0.05)) is late
-    full = build_skeleton(cfg, RngStream(2, (9,)))
-    part = build_skeleton(cut, RngStream(2, (9,)))
+    full = build_skeleton(replace(cfg, observe="all"), RngStream(2, (9,)))
+    part = build_skeleton(replace(cut, observe="all"), RngStream(2, (9,)))
     ids = np.flatnonzero(full.act <= k)
     assert np.array_equal(part.u0, full.u0[ids])
     assert np.array_equal(part.act, full.act[ids])
     for i in ids.tolist():
         assert np.array_equal(part.series(i, 0, k), full.series(i, 0, k))
-    for k_obs, snap in part.snapshots.items():
-        for a, b in zip(snap, full.snapshots[k_obs]):
+    # a history-free build cuts itself at its last observed step
+    free = build_skeleton(cfg, RngStream(2, (9,)))
+    assert free.config == cut
+    for name in ("u0", "act", "parent", "merge_step"):
+        assert np.array_equal(getattr(free, name), getattr(part, name)), name
+    for k_obs, snap in free.snapshots.items():
+        for a, b in zip(snap, full.clusters_at_index(k_obs)):
             assert np.array_equal(a, b)
 
 
@@ -364,16 +401,6 @@ def test_check_sp_properties_pass():
     assert by_name["SP5_right_modulus"].passed
 
 
-def test_observe_subset_still_evaluates_lazily():
-    cfg = small_config(observe=(0.25,))
-    skel = build_skeleton(cfg, RngStream(9, (0,)))
-    pts = skel.positions_at(0.25)      # recorded
-    lazy = skel.positions_at(0.3)      # reconstructed
-    assert pts and lazy
-    ids, pos, _ = skel.clusters_at_index(skel.snap_index(0.3))
-    assert np.all(np.diff(pos) > 0)
-
-
 @st.composite
 def _skeleton_cases(draw):
     """Small grids with a row period that is a multiple of dt and extra
@@ -410,15 +437,9 @@ def test_build_matches_saved_and_loaded_copy(case):
     with tempfile.TemporaryDirectory() as tmp:
         loaded = SkeletonFlow.load(skel.save(Path(tmp) / "s.cfsk"))
     K = skel.n_steps
-    # build-time snapshots hold distinct positions and equal the loaded
-    # copy's rebuilt cluster sets
-    assert sorted(skel.snapshots) == list(range(K + 1))
-    for k in range(K + 1):
-        assert np.all(np.diff(skel.snapshots[k][1]) > 0)
-        for built, rebuilt in zip(skel.snapshots[k],
-                                  loaded.clusters_at_index(k)):
-            assert built.dtype == rebuilt.dtype
-            assert np.array_equal(built, rebuilt)
+    # a built full flow is what save writes and load reads
+    assert skel.snapshots == {}
+    _assert_same_build(loaded, skel)
     # merge bookkeeping: absorbed into an older id, own history up to the
     # merge step (or the horizon)
     for i in range(skel.n_traj):
@@ -431,3 +452,46 @@ def test_build_matches_saved_and_loaded_copy(case):
         assert values == [loaded.value(i, k) for k in range(K + 1)]
         assert np.array_equal(skel.series(i, 0, K), values)
         assert np.array_equal(loaded.series(i, K // 2, K), values[K // 2:])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_skeleton_cases(), st.data())
+def test_history_free_build_is_the_full_build_at_observed_steps(case, data):
+    """A build observing a random non-empty set of steps is the full
+    build's prefix up to the last of them, and its build-time live arrays
+    are the full build's cluster sets there."""
+    cfg, seed = case
+    K = cfg.n_steps
+    steps = sorted(data.draw(st.sets(st.integers(0, K), min_size=1)))
+    free = build_skeleton(
+        replace(cfg, observe=tuple(cfg.times()[steps].tolist())),
+        RngStream(seed, (0,)))
+    full = build_skeleton(cfg, RngStream(seed, (0,)))
+    # the prefix up to the cut (step 1 when only step 0 is observed); a
+    # merge after the cut has not happened in the history-free build
+    cut = max(steps[-1], 1)
+    assert free.n_steps == cut and free.flat is None
+    n = int(np.count_nonzero(full.act <= cut))
+    later = full.merge_step[:n] > cut
+    want = {"u0": full.u0[:n], "act": full.act[:n],
+            "parent": np.where(later, np.arange(n), full.parent[:n]),
+            "merge_step": np.where(later, -1, full.merge_step[:n])}
+    for name, b in want.items():
+        a = getattr(free, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert sorted(free.snapshots) == steps
+    for k in range(K + 1):
+        if k in free.snapshots:
+            snap = free.snapshots[k]
+            assert np.all(np.diff(snap[1]) > 0)
+            for built, rebuilt in zip(snap, full.clusters_at_index(k)):
+                assert built.dtype == rebuilt.dtype
+                assert np.array_equal(built, rebuilt)
+            assert all(free.value(i, k) == full.value(i, k)
+                       for i in range(free.n_traj))
+            continue
+        with pytest.raises(OffGridTime):
+            free.clusters_at_index(k)
+        for i in np.flatnonzero(free.act <= k).tolist():
+            with pytest.raises(OffGridTime):
+                free.value(i, k)

@@ -256,10 +256,10 @@ def _reference_shift_samples(config, queries, h, replicas, rng):
 def test_shift_samples_equal_per_replica_full_horizon_loop(model):
     from coalflow.bundles import SHIFT_QUERIES
     queries = SHIFT_QUERIES[:3] + SHIFT_QUERIES[-2:]
-    # observing no step makes the reference rebuild every cluster set
+    # the reference's full builds rebuild every cluster set from histories
     cfg = SkeletonConfig.rows(window=(0.0, 1.0), dx=1.0 / 32, t0=0.0,
                               t1=1.5, dt=2e-3, model=model, row_period=0.05,
-                              observe=())
+                              observe="all")
     replicas = 2 * verify.SHIFT_BLOCK + 3
     rng = RngStream(8, (4,))
     for h in (0.0, 0.25, 0.5):
