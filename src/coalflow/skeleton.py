@@ -8,13 +8,13 @@ share storage through their absorbing trajectory once merged.
 
 The builder lays out the trajectory table (start value, activation step,
 parent, merge step) before it steps and keeps the live clusters as numpy
-arrays (ids, positions).  config.observe alone decides what it keeps: with
-"all", the positions once per step and the ids at each injection (merges
-keep the order of the live clusters, so the ids place every record), which
-grouped by id are the histories (one flat array in id order, with
-offsets); with a tuple of times, only those steps' live arrays as cluster
-snapshots, stepping no further than the last (a history-free build: any
-other step is an OffGridTime).
+arrays (ids, positions).  config.observe alone decides which steps are
+kept: every step for "all", else the steps of its times, and a build steps
+no further than the last of them.  The builder records the live positions
+at each kept step and the live ids at each injection (merges keep the
+order of the live clusters, so the ids place every record); grouped by id
+these are the histories, one flat array in id order with offsets.  Every
+read goes through them, and a step that is not kept is an OffGridTime.
 
 One engine builds a block of independent replicas in lockstep: their live
 clusters lie end to end in the live arrays, one segment per replica, and
@@ -76,9 +76,17 @@ def model_to_dict(model: MotionModel) -> dict:
                       "not serializable)")
 
 
+# the keys model_from_dict reads for each kind; any other is a ConfigError
+_MODEL_KEYS = {"arratia": {"kind"}, "ou": {"kind", "rate", "sigma"},
+               "harris": {"kind", "gamma", "merge_gap"}}
+
+
 def model_from_dict(d: dict) -> MotionModel:
     try:
         kind = d["kind"]
+        unknown = set(d) - _MODEL_KEYS.get(kind, set(d))
+        if unknown:
+            raise ConfigError(f"unknown {kind} model keys: {sorted(unknown)}")
         if kind == "arratia":
             return DiffusionSpec.arratia()
         if kind == "ou":
@@ -218,6 +226,15 @@ class SkeletonConfig:
             raise OffGridTime(f"time {t} not on the dt grid")
         return int(k)
 
+    @cached_property
+    def rank(self) -> np.ndarray:
+        """rank[k] counts the kept steps before step k, k in 0..n_steps + 1:
+        observe "all" keeps every step (rank[k] = k), a tuple its own."""
+        kept = np.full(self.n_steps + 1, self.observe == "all")
+        if self.observe != "all":
+            kept[[self.snap_index(t) for t in self.observe]] = True
+        return np.concatenate(([0], np.cumsum(kept)))
+
     def until(self, k: int) -> "SkeletonConfig":
         """The same grid cut at step k >= 1: t1 moves to grid time k, and
         the start rows and extra starts after it are dropped (an observed
@@ -257,45 +274,51 @@ class SkeletonConfig:
 class SkeletonFlow:
     """Built skeleton: per-trajectory histories with merge sharing.
 
-    A trajectory's own history covers steps [act, merge_step); from its merge
-    step on, positions are read through the absorbing trajectory, so merged
-    tails are stored exactly once and equality after merging is exact.  The
-    histories lie end to end in id order in one flat array: trajectory i's
-    is flat[offsets[i]:offsets[i + 1]]; a full flow keeps nothing else.  A
-    history-free flow (flat and offsets None) keeps only its observed
-    steps' snapshots, and only those steps can be read.
+    A trajectory's own history covers the kept steps in [act, merge_step);
+    from its merge step on, positions are read through the absorbing
+    trajectory, so merged tails are stored exactly once and equality after
+    merging is exact.  The histories lie end to end in id order in one flat
+    array: trajectory i's is flat[offsets[i]:offsets[i + 1]], holding kept
+    step k at index rank[k] - rank[act[i]] (config.rank).  A step that is
+    not kept is an OffGridTime.
     """
 
     def __init__(self, config: SkeletonConfig, seed: int, path: tuple,
                  u0: np.ndarray, act: np.ndarray, parent: np.ndarray,
-                 merge_step: np.ndarray, flat: Optional[np.ndarray],
-                 offsets: Optional[np.ndarray],
-                 snapshots: Optional[dict] = None):
+                 merge_step: np.ndarray, flat: np.ndarray,
+                 offsets: np.ndarray):
         self.config = config
         self.seed = seed
         self.rng_path = tuple(path)
         self.times = config.times()
+        self.rank = config.rank
         self.u0 = u0
         self.act = act
         self.parent = parent
         self.merge_step = merge_step
         self.flat = flat
         self.offsets = offsets
-        self.snapshots = snapshots or {}
+        self.snapshots = {}  # always empty; perfbench/layers.py reads it
         self._lazy_cache: dict = {}
 
-    def _no_history(self, k=None) -> OffGridTime:
-        at = "every step" if k is None else f"step {k}"
-        return OffGridTime(
-            f"{at} needed, but the skeleton was built without histories and "
-            f"observed only steps {sorted(self.snapshots)}")
+    def _rank(self, k: int, k_to: Optional[int] = None) -> int:
+        """rank[k], once every step k..k_to (k alone by default) is known to
+        lie in 0..n_steps and be kept; otherwise OffGridTime."""
+        k_to = k if k_to is None else k_to
+        rank = self.rank
+        if not (0 <= k <= k_to <= self.n_steps
+                and rank[k_to + 1] - rank[k] == k_to + 1 - k):
+            at = f"step {k}" if k_to == k else f"steps {k}..{k_to}"
+            kept = ("every step" if self.config.observe == "all" else
+                    f"steps {np.flatnonzero(np.diff(rank)).tolist()}")
+            raise OffGridTime(f"{at} not kept: the skeleton keeps {kept} "
+                              f"of 0..{self.n_steps}")
+        return int(rank[k])
 
     @cached_property
     def hist(self) -> list:
         """Per-trajectory history views of the flat array, made on first
         use (for inspection; the flow itself reads the flat array)."""
-        if self.flat is None:
-            raise self._no_history()
         off = self.offsets.tolist()
         return [self.flat[a:b] for a, b in zip(off[:-1], off[1:])]
 
@@ -322,34 +345,28 @@ class SkeletonFlow:
         return j
 
     def value(self, tid: int, k: int) -> float:
-        """Y_{(s,u)} at grid step k; frozen at u before activation.  After
-        it, tid resolves to the live id carrying it at k, whose position is
-        read from its history, or on a history-free flow from snapshot k
-        (OffGridTime when step k was not observed)."""
+        """Y_{(s,u)} at kept grid step k; frozen at u before activation.
+        After it, tid resolves to the live id carrying it at k, whose
+        position is read from its history."""
+        r = self._rank(k)
         if k < self.act[tid]:
             return float(self.u0[tid])
         j = self.resolve(tid, k)
-        if self.flat is None:
-            if k not in self.snapshots:
-                raise self._no_history(k)
-            ids, pos, _ = self.snapshots[k]
-            return float(pos[ids == j][0])
-        return float(self.flat[self.offsets[j] + k - self.act[j]])
+        return float(self.flat[self.offsets[j] + r - self.rank[self.act[j]]])
 
     def series(self, tid: int, k_from: int, k_to: int) -> np.ndarray:
-        """Positions of tid at steps k_from..k_to inclusive: u0 before
-        activation, then the history slices along tid's merge chain."""
-        if self.flat is None:
-            return np.array([self.value(tid, k)
-                             for k in range(k_from, k_to + 1)])
-        j = int(tid)
+        """Positions of tid at steps k_from..k_to inclusive, all kept: u0
+        before activation, then the history slices along tid's merge chain
+        (in a run of kept steps, rank differences are step differences)."""
+        self._rank(k_from, k_to)
+        j, rank = int(tid), self.rank
         k = max(k_from, int(self.act[j]))
         parts = [np.full(max(0, min(k, k_to + 1) - k_from), self.u0[j])]
         while k <= k_to:
             a, m = int(self.act[j]), int(self.merge_step[j])
             end = max(k, k_to + 1 if m < 0 else min(m, k_to + 1))
-            o = int(self.offsets[j]) - a
-            parts.append(self.flat[o + k:o + end])
+            o = int(self.offsets[j]) - int(rank[a])
+            parts.append(self.flat[o + rank[k]:o + rank[end]])
             k, j = end, int(self.parent[j])
         return np.concatenate(parts)
 
@@ -362,19 +379,16 @@ class SkeletonFlow:
     # -- cluster views -------------------------------------------------------
 
     def clusters_at_index(self, k: int):
-        """(ids, positions, min_act) of live clusters at step k, sorted by
-        position: a history-free flow's snapshot, or read off act/merge_step
-        as the module docstring says, and cached."""
-        if k in self.snapshots:
-            return self.snapshots[k]
+        """(ids, positions, min_act) of live clusters at kept step k, sorted
+        by position: read off act/merge_step as the module docstring says,
+        and cached."""
+        r = self._rank(k)
         if k in self._lazy_cache:
             return self._lazy_cache[k]
-        if self.flat is None:
-            raise self._no_history(k)
         ms = self.merge_step
         ids = np.flatnonzero((self.act <= k) & ((ms < 0) | (ms > k)))
         minact = self.act[ids]
-        pos = self.flat[self.offsets[ids] + (k - minact)]
+        pos = self.flat[self.offsets[ids] + (r - self.rank[minact])]
         order = np.argsort(pos, kind="stable")
         snap = (ids[order], pos[order], minact[order])
         self._lazy_cache[k] = snap
@@ -396,8 +410,6 @@ class SkeletonFlow:
     # -- persistence ---------------------------------------------------------
 
     def save(self, path) -> Path:
-        if self.flat is None:
-            raise self._no_history()
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         lens = np.diff(self.offsets)
@@ -455,13 +467,14 @@ class SkeletonFlow:
             raise ConfigError("snapshot block lengths disagree")
         # the module docstring's invariants, which keep every merge chain
         # finite and every read inside its trajectory's own history
-        K, merged = cfg.n_steps, merge_step >= 0
+        K, merged, rank = cfg.n_steps, merge_step >= 0, cfg.rank
         bad_merge = np.where(merged, (merge_step < act) | (merge_step > K)
                              | (parent < 0) | (parent >= np.arange(n_traj)),
                              merge_step != -1)
         if (np.any(np.diff(act) < 0) or np.any((act < 0) | (act > K))
                 or np.any(bad_merge)
-                or np.any(lens != np.where(merged, merge_step, K + 1) - act)):
+                or np.any(lens != rank[np.where(merged, merge_step, K + 1)]
+                          - rank[act])):
             raise ConfigError("snapshot merge tables are inconsistent")
         return SkeletonFlow(cfg, seed, rng_path, u0.copy(),
                             act.astype(np.int64), parent.astype(np.int64),
@@ -486,7 +499,7 @@ def build_skeleton(config: SkeletonConfig, rng):
     merged cluster keeps its least id; the ids it absorbs get it as parent
     and k as merge step), injects step k's starters (one landing exactly on
     a live position, or on an earlier starter of the step, merges at
-    injection) and records the live positions.
+    injection) and records the live positions if step k is kept.
 
     rng may instead be a sequence of m RngStreams, for m independent
     replicas built in lockstep; one SkeletonFlow per stream is returned, in
@@ -497,27 +510,25 @@ def build_skeleton(config: SkeletonConfig, rng):
     collapse and merge bookkeeping run once for the whole block.  Harris
     models build one stream at a time (a block of more raises TypeError).
 
-    With config.observe "all" a flow keeps its histories and nothing else.
-    With a tuple of times the build runs on config.until(its last observed
-    step), records nothing per step and keeps only the observed steps'
-    snapshots; its draws and tables are the full build's prefix.
+    With config.observe a tuple of times the build runs on
+    config.until(its last observed step): its draws and tables are the
+    full build's prefix, and its histories the full build's at the
+    observed steps.
     """
     # replica r's trajectory i has the block id r * n + i (n trajectories a
     # replica), and replica r's live clusters are live_*[seg[r]:seg[r + 1]]
     rngs = [rng] if isinstance(rng, RngStream) else list(rng)
     if not rngs:
         return []
-    history = config.observe == "all"
-    if not history:
-        observed = {config.snap_index(t) for t in config.observe}
-        config = config.until(max(max(observed), 1))
+    if config.observe != "all":
+        config = config.until(max(config.snap_index(max(config.observe)), 1))
     model = config.model
     m = len(rngs)
     lockstep = m > 1
     harris = isinstance(model, HarrisSpec)
     if harris and lockstep:
         raise TypeError("lockstep skeleton builds need a DiffusionSpec")
-    K = config.n_steps
+    K, rank = config.n_steps, config.rank
     times = config.times()
     lattice = config.lattice()
     row_steps = np.unique([config.snap_index(s) for s in config.start_times])
@@ -538,7 +549,7 @@ def build_skeleton(config: SkeletonConfig, rng):
     live_id = np.zeros(0, dtype=np.int64)
     live_pos = np.zeros(0)
     seg = np.zeros(m + 1, dtype=np.int64)
-    records, injected, snaps = [], [], {}
+    records, injected = [], []
     for k in range(K + 1):
         if k and live_pos.size:
             if harris:
@@ -584,57 +595,46 @@ def build_skeleton(config: SkeletonConfig, rng):
                 ids.append(np.concatenate([live_id[a:b], host[fresh]])[order])
             seg = np.concatenate(([0], np.cumsum([p.size for p in pos])))
             live_pos, live_id = np.concatenate(pos), np.concatenate(ids)
-            if history:
-                injected.append((k, live_id))
+            injected.append((k, live_id))
         # the live arrays are replaced, never written in place, so the
-        # records and snapshots can share them
-        if history:
+        # records can share them
+        if rank[k + 1] > rank[k]:
             records.append(live_pos)
-        elif k in observed:
-            snaps[k] = (live_id, live_pos, seg)
 
-    if history:
-        flat, offsets = _histories(records, injected, np.tile(act, m),
-                                   merge_step, K)
-    flows = []
-    for r, stream in enumerate(rngs):
-        a, b = r * n, (r + 1) * n
-        snapshots = {}
-        for k, (ids, pos, sg) in snaps.items():
-            ids, pos = ids[sg[r]:sg[r + 1]], pos[sg[r]:sg[r + 1]]
-            if r:
-                ids = ids - a
-            snapshots[k] = (ids, pos, act[ids])
-        own = ((flat[offsets[a]:offsets[b]], offsets[a:b + 1] - offsets[a])
-               if history else (None, None))
-        flows.append(SkeletonFlow(
-            config, stream.seed, stream.path, u0, act,
-            parent[a:b] - a, merge_step[a:b], *own, snapshots=snapshots))
+    flat, offsets = _histories(records, injected, np.tile(act, m),
+                               merge_step, rank)
+    flows = [SkeletonFlow(config, stream.seed, stream.path, u0, act,
+                          parent[a:a + n] - a, merge_step[a:a + n],
+                          flat[offsets[a]:offsets[a + n]],
+                          offsets[a:a + n + 1] - offsets[a])
+             for stream, a in zip(rngs, range(0, m * n, n))]
     return flows[0] if isinstance(rng, RngStream) else flows
 
 
 def _histories(records: list, injected: list, act: np.ndarray,
-               merge_step: np.ndarray, K: int):
-    """(flat, offsets) of a build from its per-step records, which are
-    freed as they are used.
+               merge_step: np.ndarray, rank: np.ndarray):
+    """(flat, offsets) of a build from its records, one per kept step, which
+    are freed as they are used.
 
-    Own history lengths follow from act and merge_step.  Merges keep the
-    order of the live clusters, so the live ids at a step are those of the
-    last injection still live, in its order: scatter each step's positions
-    into their id-ordered places, a run of steps at a time.
+    Own history lengths follow from act, merge_step and rank.  Merges keep
+    the order of the live clusters, so the live ids at a step are those of
+    the last injection still live, in its order: scatter each kept step's
+    positions into their id-ordered places, a run of kept steps at a time.
     """
-    ends = np.where(merge_step < 0, K + 1, merge_step)
-    offsets = np.concatenate(([0], np.cumsum(ends - act)))
+    steps = np.flatnonzero(np.diff(rank))    # records[r] is steps[r]'s
+    ends = np.where(merge_step < 0, rank.size - 1, merge_step)
+    offsets = np.concatenate(([0], np.cumsum(rank[ends] - rank[act])))
     flat = np.empty(int(offsets[-1]))
-    at_step0 = offsets[:-1] - act
-    b = K + 1
-    for a, ids in reversed(injected):
+    at_rank0 = offsets[:-1] - rank[act]
+    b = steps.size
+    for k, ids in reversed(injected):
+        a = int(rank[k])
         run = max(1, _SCATTER_ENTRIES // max(ids.size, 1))
-        for k0 in range(a, b, run):
-            ids = ids[ends[ids] > k0]
-            ks = np.arange(k0, min(k0 + run, b))[:, None]
-            flat[(at_step0[ids] + ks)[ends[ids] > ks]] = np.concatenate(
-                records[k0:k0 + ks.size])
+        for r0 in range(a, b, run):
+            ids = ids[ends[ids] > steps[r0]]
+            rs = np.arange(r0, min(r0 + run, b))[:, None]
+            flat[(at_rank0[ids] + rs)[ends[ids] > steps[rs]]] = np.concatenate(
+                records[r0:r0 + rs.size])
         del records[a:]
         b = a
     return flat, offsets

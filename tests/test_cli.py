@@ -75,7 +75,10 @@ def test_bad_skeleton_config_exits_2(tmp_path, capsys, skeleton):
     # a bool is not a number, and a stride is at least 1
     {"seed": True}, {"scale": True}, {"export_stride": True},
     {"export_stride": 0}, {"export_stride": -3},
-    {"model": {"kind": "ou", "rate": True, "sigma": 1}}])
+    {"model": {"kind": "ou", "rate": True, "sigma": 1}},
+    # a key the model kind does not read
+    {"model": {"kind": "harris", "gamma": 1, "merge_gp": 0.1}},
+    {"model": {"kind": "arratia", "rate": 3}}])
 def test_bad_run_config_exits_2(tmp_path, capsys, overrides):
     cfg_path = write_config(tmp_path, **overrides)
     assert main(["simulate", "--config", str(cfg_path)]) == 2

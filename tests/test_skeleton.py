@@ -1,3 +1,4 @@
+import csv
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coalflow.cli import main
 from coalflow.errors import ConfigError, OffGridTime, OutOfHorizon
+from coalflow.flows import EvalQuery, evaluate_with_id, skeleton_flow_element
 from coalflow.motions import DiffusionSpec, HarrisSpec
 from coalflow.rng import RngStream
 from coalflow.skeleton import (SkeletonConfig, SkeletonFlow, SpCheckPlan,
@@ -152,13 +155,15 @@ def test_lazy_rebuild_matches_resolve_loop(tmp_path, make):
 @pytest.mark.parametrize("make", [_harris_every_step,
                                   _arratia_colliding_extras])
 def test_snapshot_min_act_is_act_of_live_id(make):
-    """A history-free build observing every step: each snapshot's min_act
-    is the act of its live id, and the least act in that id's cluster."""
+    """A build observing every step by a tuple of times: each cluster set's
+    min_act is the act of its live id, and the least act in that id's
+    cluster."""
     full = make()
     cfg = replace(full.config, observe=tuple(full.times.tolist()))
     skel = build_skeleton(cfg, RngStream(full.seed, full.rng_path))
-    assert sorted(skel.snapshots) == list(range(skel.n_steps + 1))
-    for k, (ids, _, minact) in skel.snapshots.items():
+    assert _kept(skel) == list(range(skel.n_steps + 1))
+    for k in _kept(skel):
+        ids, _, minact = skel.clusters_at_index(k)
         assert np.array_equal(minact, skel.act[ids])
         least = {}
         for i in np.flatnonzero(skel.act <= k).tolist():
@@ -167,23 +172,24 @@ def test_snapshot_min_act_is_act_of_live_id(make):
         assert minact.tolist() == [least[j] for j in ids.tolist()]
 
 
+def _kept(skel) -> list:
+    """The steps a flow keeps (and so can read)."""
+    return np.flatnonzero(np.diff(skel.rank)).tolist()
+
+
 def _assert_same_build(got, want):
-    """Every array of two builds equal, dtypes included; a history-free
-    build has snapshots in place of the history arrays."""
+    """Every array of two builds equal, dtypes included, and so are their
+    cluster sets at every kept step."""
     assert (got.seed, got.rng_path) == (want.seed, want.rng_path)
-    for name in ("u0", "act", "parent", "merge_step", "flat", "offsets"):
+    for name in ("rank", "u0", "act", "parent", "merge_step", "flat",
+                 "offsets"):
         a, b = getattr(got, name), getattr(want, name)
-        if b is None:
-            assert a is None, name
-            continue
         assert a.dtype == b.dtype and np.array_equal(a, b), name
-    if want.flat is not None:
-        assert len(got.hist) == len(want.hist)
-        for a, b in zip(got.hist, want.hist):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
-    assert sorted(got.snapshots) == sorted(want.snapshots)
-    for k, snap in want.snapshots.items():
-        for a, b in zip(got.snapshots[k], snap):
+    assert len(got.hist) == len(want.hist)
+    for a, b in zip(got.hist, want.hist):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    for k in _kept(want):
+        for a, b in zip(got.clusters_at_index(k), want.clusters_at_index(k)):
             assert a.dtype == b.dtype and np.array_equal(a, b), k
 
 
@@ -210,7 +216,7 @@ def test_lockstep_block_equals_one_stream_builds(model, width):
             assert build_skeleton(cfg, []) == []
         else:
             # the replicas step at different live counts
-            ks = block[0].snapshots or range(cfg.n_steps)
+            ks = _kept(block[0])
             sizes = np.array([[skel.clusters_at_index(k)[0].size
                                for skel in block] for k in ks])
             assert np.any(sizes.min(axis=1) < sizes.max(axis=1))
@@ -263,14 +269,19 @@ def test_history_free_build_equals_build_with_histories(model, width):
     free = build_skeleton(cfg, streams)
     full = build_skeleton(replace(cfg, observe="all"), streams)
     for got, want in zip(free, full, strict=True):
-        assert got.flat is None and got.offsets is None
-        assert want.snapshots == {}
         for name in ("u0", "act", "parent", "merge_step"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
-        assert sorted(got.snapshots) == [0, 100, 170, 300]
-        for k, snap in got.snapshots.items():
-            for a, b in zip(snap, want.clusters_at_index(k)):
+        kept = _kept(got)
+        assert kept == [0, 100, 170, 300]
+        # each own history is the full one at the kept steps it spans
+        for i, h in enumerate(got.hist):
+            end = got.merge_step[i] if got.merge_step[i] >= 0 else 301
+            ks = np.array([k for k in kept if got.act[i] <= k < end], int)
+            assert np.array_equal(h, want.hist[i][ks - want.act[i]]), i
+        for k in kept:
+            for a, b in zip(got.clusters_at_index(k),
+                            want.clusters_at_index(k)):
                 assert a.dtype == b.dtype and np.array_equal(a, b), k
             assert all(got.value(i, k) == want.value(i, k)
                        for i in range(got.n_traj))
@@ -288,18 +299,56 @@ def test_history_free_flow_refuses_unobserved_steps(tmp_path):
     assert skel.value(late, k) == skel.u0[late]     # frozen, no read needed
     assert np.array_equal(skel.series(tid, k, k), [skel.value(tid, k)])
     for step in (k + 1, 251):
-        unobserved = f"step {step} needed, .* built without histories"
-        with pytest.raises(OffGridTime, match=unobserved):
+        unkept = rf"step {step} not kept: .* keeps steps \[100, 250\] of"
+        with pytest.raises(OffGridTime, match=unkept):
             skel.value(tid, step)
-        with pytest.raises(OffGridTime, match=unobserved):
+        with pytest.raises(OffGridTime, match=f"steps {step - 1}..{step} "):
             skel.series(tid, step - 1, step)
-        with pytest.raises(OffGridTime, match=unobserved):
+        with pytest.raises(OffGridTime, match=unkept):
             skel.clusters_at_index(step)
-    with pytest.raises(OffGridTime, match="built without histories"):
-        skel.hist
-    with pytest.raises(OffGridTime, match="built without histories"):
-        skel.save(tmp_path / "skel.cfsk")
-    assert not (tmp_path / "skel.cfsk").exists()
+    # it saves and loads like any other flow, and exports its kept steps
+    path = skel.save(tmp_path / "skel.cfsk")
+    _assert_same_build(SkeletonFlow.load(path), skel)
+    queries = tmp_path / "queries.csv"
+    queries.write_text("s,x,t\n0.1,0.5,0.25\n0.25,0.3,0.25\n0.1,0.2,0.1\n"
+                       "0.1,0.5,0.2\n0.15,0.5,0.25\n0.0,0.5,0.1\n")
+    dest = tmp_path / "evals.csv"
+    assert main(["export", "--snapshot", str(path), "--queries",
+                 str(queries), "--out", str(dest)]) == 0
+    with open(dest, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["status"] for r in rows] == ["ok"] * 3 + ["off_grid_time"] * 3
+    full = skeleton_flow_element(
+        build_skeleton(replace(cfg, observe="all"), RngStream(9, (0,))))
+    for r in rows[:3]:
+        q = EvalQuery(float(r["s"]), float(r["x"]), float(r["t"]))
+        v, j = evaluate_with_id(full, q)
+        assert (r["value"], r["trajectory_id"]) == (repr(v), str(j))
+
+
+def test_reads_past_the_last_step_are_off_grid(tmp_path):
+    """Step n_steps + 1 (or -1) is no step of the flow: value, series and
+    clusters_at_index refuse it rather than read a neighbour's entries."""
+    cfg = small_config(t1=0.1)
+    full = build_skeleton(cfg, RngStream(8, (0,)))
+    free = build_skeleton(replace(cfg, observe=(0.05, 0.1)),
+                          RngStream(8, (0,)))
+    flows = [full, free]
+    for i, skel in enumerate((full, free)):
+        flows.append(SkeletonFlow.load(skel.save(tmp_path / f"{i}.cfsk")))
+    for skel in flows:
+        K = skel.n_steps
+        ids = skel.clusters_at_index(K)[0]
+        j = int(ids[0])
+        assert skel.value(j, K) == skel.series(j, K, K)[0]
+        for read in (lambda: skel.value(j, K + 1),
+                     lambda: skel.value(j, -1),
+                     lambda: skel.series(j, K, K + 2),
+                     lambda: skel.series(j, -1, K),
+                     lambda: skel.clusters_at_index(K + 1),
+                     lambda: skel.clusters_at_index(-1)):
+            with pytest.raises(OffGridTime, match=f"of 0..{K}$"):
+                read()
 
 
 def test_until_builds_the_prefix():
@@ -327,8 +376,9 @@ def test_until_builds_the_prefix():
     assert free.config == cut
     for name in ("u0", "act", "parent", "merge_step"):
         assert np.array_equal(getattr(free, name), getattr(part, name)), name
-    for k_obs, snap in free.snapshots.items():
-        for a, b in zip(snap, full.clusters_at_index(k_obs)):
+    for k_obs in _kept(free):
+        for a, b in zip(free.clusters_at_index(k_obs),
+                        full.clusters_at_index(k_obs)):
             assert np.array_equal(a, b)
 
 
@@ -458,8 +508,8 @@ def test_build_matches_saved_and_loaded_copy(case):
 @given(_skeleton_cases(), st.data())
 def test_history_free_build_is_the_full_build_at_observed_steps(case, data):
     """A build observing a random non-empty set of steps is the full
-    build's prefix up to the last of them, and its build-time live arrays
-    are the full build's cluster sets there."""
+    build's prefix up to the last of them, its cluster sets are the full
+    build's there, and every other step is an OffGridTime."""
     cfg, seed = case
     K = cfg.n_steps
     steps = sorted(data.draw(st.sets(st.integers(0, K), min_size=1)))
@@ -470,7 +520,7 @@ def test_history_free_build_is_the_full_build_at_observed_steps(case, data):
     # the prefix up to the cut (step 1 when only step 0 is observed); a
     # merge after the cut has not happened in the history-free build
     cut = max(steps[-1], 1)
-    assert free.n_steps == cut and free.flat is None
+    assert free.n_steps == cut
     n = int(np.count_nonzero(full.act <= cut))
     later = full.merge_step[:n] > cut
     want = {"u0": full.u0[:n], "act": full.act[:n],
@@ -479,10 +529,10 @@ def test_history_free_build_is_the_full_build_at_observed_steps(case, data):
     for name, b in want.items():
         a = getattr(free, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
-    assert sorted(free.snapshots) == steps
+    assert _kept(free) == steps
     for k in range(K + 1):
-        if k in free.snapshots:
-            snap = free.snapshots[k]
+        if k in steps:
+            snap = free.clusters_at_index(k)
             assert np.all(np.diff(snap[1]) > 0)
             for built, rebuilt in zip(snap, full.clusters_at_index(k)):
                 assert built.dtype == rebuilt.dtype
