@@ -14,6 +14,7 @@ constant-coefficient models and to O(dt) for the rest.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -178,7 +179,7 @@ def collapse_proposals(prop: np.ndarray, merge_next: np.ndarray,
     segments, if given, are the offsets that cut prop into independent
     systems, as in propose_diffusion_step: merge_next flags no pair across
     a cut, positions increase strictly within each segment only, and no
-    cascade folds across a cut.
+    cascade folds across a cut.  None is one segment.
     """
     n = prop.size
     if n == 0:
@@ -186,27 +187,22 @@ def collapse_proposals(prop: np.ndarray, merge_next: np.ndarray,
         return prop.copy(), empty, empty
     boundary = np.empty(n, dtype=bool)
     boundary[0] = True
-    if n > 1:
-        np.logical_not(merge_next, out=boundary[1:])
+    np.logical_not(merge_next, out=boundary[1:])
     starts = np.flatnonzero(boundary)
     if starts.size == n:
         return prop.copy(), starts, np.ones(n, dtype=np.int64)
     counts = np.diff(np.append(starts, n))
     pos = np.add.reduceat(prop, starts) / counts
+    # the group each later segment opens with; the group before it belongs
+    # to another system
+    head = np.searchsorted(starts, _segments(segments, n)[2])
     rising = pos[1:] > pos[:-1]
-    head = None
-    if segments is not None:
-        # the group each later segment opens with; the group before it
-        # belongs to another system
-        head = np.searchsorted(starts, segments[1:-1])
-        head = head[(head > 0) & (head < starts.size)]
-        rising[head - 1] = True
+    rising[head - 1] = True
     if rising.all():
         return pos, starts, counts
     # rare: a run mean crossed its neighbour; fold with count weights
     opens = np.zeros(starts.size, dtype=bool)
-    if head is not None:
-        opens[head] = True
+    opens[head] = True
     ps: list = []
     ss: list = []
     cs: list = []
@@ -225,6 +221,30 @@ def collapse_proposals(prop: np.ndarray, merge_next: np.ndarray,
         cs.append(c)
     return (np.asarray(ps, dtype=float), np.asarray(ss, dtype=np.int64),
             np.asarray(cs, dtype=np.int64))
+
+
+def _segments(segments: Optional[np.ndarray], n: int):
+    """(segments, bounds, heads) of n entries: None is the one segment
+    [0, n], bounds the offsets as a list and heads those inside (0, n); the
+    pair (h - 1, h) of a head h straddles a cut."""
+    if segments is None:
+        segments = np.array([0, n])
+    bounds = segments.tolist()
+    return (segments, bounds,
+            segments[bisect_right(bounds, 0):bisect_left(bounds, n)])
+
+
+def _segment_normals(gen, segments: Optional[np.ndarray], n: int):
+    """(gens, segments, z, heads) of a step: segments and heads as
+    _segments makes them, a lone generator as the one of one segment, and
+    z filled segment by segment with gens[i].standard_normal of its size."""
+    gens = [gen] if segments is None else gen
+    segments, bounds, heads = _segments(segments, n)
+    z = np.empty(n)
+    for g, a, b in zip(gens, bounds[:-1], bounds[1:]):
+        if b > a:
+            g.standard_normal(out=z[a:b])
+    return gens, segments, z, heads
 
 
 def _euler_proposal(spec: DiffusionSpec, x: np.ndarray, z: np.ndarray,
@@ -279,60 +299,43 @@ def propose_diffusion_step(spec: DiffusionSpec, positions: np.ndarray,
     the innermost loop of every coalescing sampler.  The proposal is
     _euler_proposal's, time drift included.
 
-    Lockstep systems: gen may instead be a sequence of m generators, with
-    segments the m + 1 nondecreasing offsets (0 first, n last) that cut
-    positions into m independent systems, each strictly increasing.  System
-    i draws from gen[i] exactly what a one-generator call on its segment
-    draws; a pair across a cut is never flagged or drawn for.
+    Lockstep systems, in every step kernel: gen may be a sequence of m
+    generators, with segments the m + 1 nondecreasing offsets (0 first, n
+    last) that cut positions into m independent, strictly increasing
+    systems (a lone generator is one segment).  System i draws from gen[i]
+    what a one-generator call on it draws; no pair across a cut is flagged.
     """
     x = positions
-    if segments is None:
-        z = gen.standard_normal(x.size)
-    else:
-        bounds = segments.tolist()
-        z = np.empty(x.size)
-        for g, a, b in zip(gen, bounds[:-1], bounds[1:]):
-            if b > a:
-                g.standard_normal(out=z[a:b])
+    gens, segments, z, heads = _segment_normals(gen, segments, x.size)
     prop, b = _euler_proposal(spec, x, z, time, dt)
-    if x.size < 2:
-        return prop, np.zeros(0, dtype=bool)
     d1 = prop[1:] - prop[:-1]
     flags = d1 <= 0.0
     open_pair = ~flags
-    if segments is not None:
-        cut = segments[1:-1] - 1
-        cut = cut[(cut >= 0) & (cut < flags.size)]
-        flags[cut] = False
-        open_pair[cut] = False
-    if open_pair.any():
+    flags[heads - 1] = open_pair[heads - 1] = False
+    pairs = np.flatnonzero(open_pair)
+    if pairs.size:
         ends = None if b is None else (b[:-1], b[1:])
-        expo = _bridge_exponent(spec, x[1:] - x[:-1], d1, ends, dt)[open_pair]
-        if segments is None:
-            u = gen.random(expo.size)
+        expo = _bridge_exponent(spec, x[1:] - x[:-1], d1, ends, dt)[pairs]
+        if pairs.size <= len(gens):
+            # few draws, as for C8's pairs: k scalar random() calls draw
+            # what random(k) draws, at half a sliced call's cost each
+            owner = np.searchsorted(segments, pairs, side="right") - 1
+            u = np.array([gens[i].random() for i in owner.tolist()])
         else:
             # open pairs before each segment's first pair
-            before = np.concatenate(([0], np.cumsum(open_pair)))
-            ub = before[np.minimum(segments, flags.size)]
-            if ub[-1] <= len(gen):
-                # few draws, as for C8's pairs: k scalar random() calls draw
-                # what random(k) draws, at half a sliced call's cost each
-                owner = np.repeat(np.arange(len(gen)), np.diff(ub))
-                u = np.array([gen[i].random() for i in owner.tolist()])
-            else:
-                ub = ub.tolist()
-                u = np.empty(expo.size)
-                for g, a, c in zip(gen, ub[:-1], ub[1:]):
-                    if c > a:
-                        g.random(out=u[a:c])
+            ub = np.searchsorted(pairs, segments).tolist()
+            u = np.empty(pairs.size)
+            for g, a, c in zip(gens, ub[:-1], ub[1:]):
+                if c > a:
+                    g.random(out=u[a:c])
         hit = u < np.exp(expo)
         if hit.any():
-            flags[open_pair] = hit
+            flags[pairs] = hit
     return prop, flags
 
 
 def propose_harris_step(spec: HarrisSpec, positions: np.ndarray, dt: float,
-                        gen: np.random.Generator):
+                        gen, segments: Optional[np.ndarray] = None):
     """Joint Gaussian step with covariance Gamma(x_i - x_j) dt; merges on sign
     change or a sub-threshold gap.
 
@@ -341,24 +344,25 @@ def propose_harris_step(spec: HarrisSpec, positions: np.ndarray, dt: float,
     is applied exactly, in O(n), by the Markov recursion W_0 = z_0,
     W_i = rho_i W_{i-1} + sigma_i z_i with rho_i = exp(-gamma(x_i - x_{i-1}))
     and sigma_i = sqrt(1 - rho_i^2).  One standard_normal(n) draw per step.
+
+    Lockstep systems as in propose_diffusion_step: the recursion restarts at
+    each segment's first entry, its gap +inf (rho = 0, sigma = 1, W = z).
     """
     x = positions
-    n = x.size
-    z = gen.standard_normal(n)
-    if n == 1:
-        prop = x + math.sqrt(dt) * z
-        return prop, np.zeros(0, dtype=bool)
-    gap = np.diff(x)
+    _, _, z, heads = _segment_normals(gen, segments, x.size)
+    gap = np.concatenate(([np.inf], np.diff(x)))
+    gap[heads] = np.inf
     rho = np.exp(-spec.gamma * gap).tolist()
-    sz = (np.sqrt(-np.expm1(-2.0 * spec.gamma * gap)) * z[1:]).tolist()
-    acc = float(z[0])
-    w = [acc]
+    sz = (np.sqrt(-np.expm1(-2.0 * spec.gamma * gap)) * z).tolist()
+    acc = 0.0
+    w = []
     for r, s in zip(rho, sz):
         acc = r * acc + s
         w.append(acc)
     prop = x + math.sqrt(dt) * np.array(w)
     d1 = np.diff(prop)
     flags = (d1 <= 0.0) | (d1 < spec.merge_gap)
+    flags[heads - 1] = False
     return prop, flags
 
 
@@ -371,16 +375,14 @@ def step_system(model: MotionModel, positions: np.ndarray, time: float,
     skeleton builder runs the same two kernels on the same draws, time
     drift included.
 
-    Lockstep systems (diffusions only): gen may instead be a sequence of m
+    Lockstep systems, for every model: gen may instead be a sequence of m
     generators and segments the m + 1 offsets that cut positions into m
     independent systems, as in propose_diffusion_step; system i draws from
     gen[i] exactly what a one-system call on its segment draws, and its
     clusters are the groups that np.searchsorted(starts, segments) cuts.
     """
     if isinstance(model, HarrisSpec):
-        if segments is not None:
-            raise TypeError("lockstep steps need a DiffusionSpec")
-        prop, flags = propose_harris_step(model, positions, dt, gen)
+        prop, flags = propose_harris_step(model, positions, dt, gen, segments)
     else:
         prop, flags = propose_diffusion_step(model, positions, time, dt, gen,
                                              segments)

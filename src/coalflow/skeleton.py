@@ -24,7 +24,7 @@ what it would draw built alone (Philox streams are addressed by counter, so
 a replica's draws do not depend on its block), and no pair across a
 segment cut is flagged, drawn for or folded, so each skeleton of a block is
 bit-identical to its one-stream build.  The segment offsets change only at
-merges and injections; a one-replica build passes none to the kernels.
+merges and injections; a one-replica build is a one-segment block.
 
 Ids run in activation order, a merge keeps the least id of its group, and a
 starter merged at injection points at a live id or at an earlier starter of
@@ -507,8 +507,8 @@ def build_skeleton(config: SkeletonConfig, rng):
     build draws, so each result is bit-identical to build_skeleton(config,
     rng[r]).  The replicas' live clusters lie end to end in one array, cut
     into one segment per replica, so each step's proposal, bridge test,
-    collapse and merge bookkeeping run once for the whole block.  Harris
-    models build one stream at a time (a block of more raises TypeError).
+    collapse and merge bookkeeping run once for the whole block, whatever
+    the model.
 
     With config.observe a tuple of times the build runs on
     config.until(its last observed step): its draws and tables are the
@@ -524,10 +524,6 @@ def build_skeleton(config: SkeletonConfig, rng):
         config = config.until(max(config.snap_index(max(config.observe)), 1))
     model = config.model
     m = len(rngs)
-    lockstep = m > 1
-    harris = isinstance(model, HarrisSpec)
-    if harris and lockstep:
-        raise TypeError("lockstep skeleton builds need a DiffusionSpec")
     K, rank = config.n_steps, config.rank
     times = config.times()
     lattice = config.lattice()
@@ -545,23 +541,20 @@ def build_skeleton(config: SkeletonConfig, rng):
     first = np.searchsorted(act, np.arange(K + 2))  # ids first[k]:first[k+1]
 
     gens = [r.generator() for r in rngs]
-    gen = gens if lockstep else gens[0]
     live_id = np.zeros(0, dtype=np.int64)
     live_pos = np.zeros(0)
     seg = np.zeros(m + 1, dtype=np.int64)
     records, injected = [], []
     for k in range(K + 1):
         if k and live_pos.size:
-            if harris:
+            if isinstance(model, HarrisSpec):
                 prop, flags = propose_harris_step(model, live_pos, config.dt,
-                                                  gen)
+                                                  gens, seg)
             else:
                 prop, flags = propose_diffusion_step(
-                    model, live_pos, float(times[k - 1]), config.dt, gen,
-                    segments=seg if lockstep else None)
+                    model, live_pos, float(times[k - 1]), config.dt, gens, seg)
             if flags.any():
-                live_pos, starts, counts = collapse_proposals(
-                    prop, flags, seg if lockstep else None)
+                live_pos, starts, counts = collapse_proposals(prop, flags, seg)
                 keep = np.minimum.reduceat(live_id, starts)
                 owner = np.repeat(keep, counts)
                 gone = owner != live_id
@@ -601,7 +594,7 @@ def build_skeleton(config: SkeletonConfig, rng):
         if rank[k + 1] > rank[k]:
             records.append(live_pos)
 
-    flat, offsets = _histories(records, injected, np.tile(act, m),
+    flat, offsets = _histories(records, injected, np.tile(rank[act], m),
                                merge_step, rank)
     flows = [SkeletonFlow(config, stream.seed, stream.path, u0, act,
                           parent[a:a + n] - a, merge_step[a:a + n],
@@ -611,21 +604,21 @@ def build_skeleton(config: SkeletonConfig, rng):
     return flows[0] if isinstance(rng, RngStream) else flows
 
 
-def _histories(records: list, injected: list, act: np.ndarray,
+def _histories(records: list, injected: list, act_rank: np.ndarray,
                merge_step: np.ndarray, rank: np.ndarray):
     """(flat, offsets) of a build from its records, one per kept step, which
-    are freed as they are used.
-
-    Own history lengths follow from act, merge_step and rank.  Merges keep
-    the order of the live clusters, so the live ids at a step are those of
-    the last injection still live, in its order: scatter each kept step's
-    positions into their id-ordered places, a run of kept steps at a time.
+    are freed as they are used.  Own history lengths follow from act_rank
+    (rank[act]), merge_step and rank.  Merges keep the order of the live
+    clusters, so the live ids at a step are those of the last injection
+    still live, in its order: scatter each kept step's positions into their
+    id-ordered places, a run of kept steps at a time.
     """
     steps = np.flatnonzero(np.diff(rank))    # records[r] is steps[r]'s
     ends = np.where(merge_step < 0, rank.size - 1, merge_step)
-    offsets = np.concatenate(([0], np.cumsum(rank[ends] - rank[act])))
+    offsets = np.zeros(ends.size + 1, dtype=np.int64)
+    np.cumsum(rank[ends] - act_rank, out=offsets[1:])
     flat = np.empty(int(offsets[-1]))
-    at_rank0 = offsets[:-1] - rank[act]
+    at_rank0 = offsets[:-1] - act_rank
     b = steps.size
     for k, ids in reversed(injected):
         a = int(rank[k])
@@ -660,10 +653,14 @@ def cluster_count_bound(model: MotionModel, a: float, b: float,
                         duration: float, window) -> float:
     """1 + m(b) - m(a) with the meeting-time scale of the stepped model:
     driftless models divide by delta = inf of b over the window, drifting
-    ones use the drift-removing scale m."""
+    ones use the drift-removing scale m.  Harris flows take the
+    beta-minorant bound 1 + (b - a) min_L [1/L + L / ((1 - e^-gamma L) t)],
+    as beta_L(x) = (1 - e^-gamma L) x / L minorizes 1 - Gamma on (0, L]:
+    every L gives a bound, so a fixed log grid of L does."""
     if isinstance(model, HarrisSpec):
-        # no closed scale; Brownian comparison with unit diffusion
-        return 1.0 + (b - a) / math.sqrt(math.pi * duration)
+        L = np.geomspace(1e-3, 1e3, 601)
+        rate = -np.expm1(-model.gamma * L)
+        return 1.0 + (b - a) * float(np.min(1.0 / L + L / (rate * duration)))
     if not model.has_drift:
         lo, hi = window
         delta = float(np.min(model.diffusion(np.linspace(lo, hi, 257))))

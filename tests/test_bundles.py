@@ -1,8 +1,10 @@
 import numpy as np
+import pytest
 
 from coalflow.bundles import (BUNDLES, bundle_cluster_count,
                               bundle_motion_laws, bundle_negative_controls,
                               bundle_rng, bundle_skeleton_sp, run_bundle)
+from coalflow.cli import _bundle_path_index
 from coalflow.config import KNOWN_BUNDLES, RunConfig
 from coalflow.rng import RngStream
 
@@ -36,6 +38,21 @@ def test_skeleton_sp_bundle_green():
     assert {"SP1_fresh_starters", "SP2_permanence", "SP3_density",
             "SP4_cluster_bound", "SP5_right_modulus"} <= names
     assert all(r.ok for r in reports), [r.name for r in reports if not r.ok]
+
+
+@pytest.mark.parametrize("seed", [9, 42])
+@pytest.mark.parametrize("gamma", [1, 4, 16])
+def test_harris_skeleton_sp4_within_its_bound(gamma, seed):
+    """The skeleton-sp run of `coalflow verify` on a Harris model at scale
+    0.05, at (gamma, seed) fixed in advance: SP4's mean cluster count stays
+    under the beta-minorant bound (at (1, 9) and (4, 9) it exceeded the
+    Brownian-comparison reference that bound replaces)."""
+    cfg = RunConfig(seed=seed, scale=0.05,
+                    model={"kind": "harris", "gamma": gamma})
+    reports, _ = bundle_skeleton_sp(
+        cfg, RngStream(seed, (_bundle_path_index("skeleton-sp"),)))
+    (sp4,) = [r for r in reports if r.name == "SP4_cluster_bound"]
+    assert sp4.ok, (sp4.statistic, sp4.reference)
 
 
 def test_rng_bundle_green():

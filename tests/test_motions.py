@@ -255,6 +255,48 @@ def test_segmented_diffusion_step_equals_one_call_per_segment(spec):
         assert flags.any() and not flags.all()
 
 
+STEP_SPECS = [
+    DiffusionSpec.arratia(), DiffusionSpec.ornstein_uhlenbeck(1.0, 1.3),
+    DiffusionSpec.generic(lambda x: -np.sin(x),
+                          lambda x: 1.0 + 0.5 * np.cos(x), 1.5),
+    DriftInjectedSpec(kind="arratia", drift_amp=5.0), HarrisSpec(gamma=0.25),
+    HarrisSpec(gamma=1.0), HarrisSpec(gamma=200.0)]
+
+
+def _step(spec, x, gen, segments=None):
+    if isinstance(spec, HarrisSpec):
+        return propose_harris_step(spec, x, 1e-2, gen, segments)
+    return propose_diffusion_step(spec, x, 0.1, 1e-2, gen, segments)
+
+
+@given(st.lists(st.integers(min_value=0, max_value=12), min_size=1,
+                max_size=8),
+       st.sampled_from(STEP_SPECS), st.integers(min_value=0, max_value=999))
+def test_segmented_step_equals_one_generator_calls(sizes, spec, seed):
+    """Every step kernel, Harris included: a segmented call is the
+    one-generator calls on its segments end to end (empty and one-entry
+    segments too, values often equal across a cut), flags no pair across a
+    cut, and leaves every generator at the same next draw."""
+    rng = RngStream(seed, (0,))
+    layout = RngStream(seed, (1,)).generator()
+    systems = [np.sort(layout.choice(64, n, replace=False)) / 200.0
+               for n in sizes]
+    x = np.concatenate(systems)
+    seg = np.concatenate(([0], np.cumsum(sizes)))
+    gens = [rng.child(r).generator() for r in range(len(sizes))]
+    prop, flags = _step(spec, x, gens, seg)
+    assert prop.shape == x.shape and flags.shape == (max(x.size - 1, 0),)
+    for r, a in enumerate(systems):
+        lone = rng.child(r).generator()
+        want_p, want_f = _step(spec, a, lone)
+        lo, hi = seg[r], seg[r + 1]
+        assert np.array_equal(prop[lo:hi], want_p)
+        assert np.array_equal(flags[lo:max(lo, hi - 1)], want_f)
+        if 0 < hi < x.size:
+            assert not flags[hi - 1]
+        assert gens[r].random() == lone.random()
+
+
 def test_step_preserves_order_and_permanence():
     spec = DiffusionSpec.arratia()
     gen = RngStream(5, (1,)).generator()

@@ -1,4 +1,5 @@
 import csv
+import math
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -14,7 +15,8 @@ from coalflow.flows import EvalQuery, evaluate_with_id, skeleton_flow_element
 from coalflow.motions import DiffusionSpec, HarrisSpec
 from coalflow.rng import RngStream
 from coalflow.skeleton import (SkeletonConfig, SkeletonFlow, SpCheckPlan,
-                               build_skeleton, check_sp_properties)
+                               build_skeleton, check_sp_properties,
+                               cluster_count_bound)
 from coalflow.stats import ks_against_normal
 from coalflow.verify import DriftInjectedSpec
 
@@ -200,8 +202,11 @@ GENERIC = DiffusionSpec.generic(lambda x: -np.sin(x),
 @pytest.mark.parametrize("width", [1, 3, 8])
 @pytest.mark.parametrize("model", [
     DiffusionSpec.arratia(), DiffusionSpec.ornstein_uhlenbeck(1.0, 1.3),
-    GENERIC, DriftInjectedSpec(kind="arratia", drift_amp=1.5)],
-    ids=["arratia", "ou", "generic", "drift"])
+    GENERIC, DriftInjectedSpec(kind="arratia", drift_amp=1.5),
+    HarrisSpec(gamma=0.25), HarrisSpec(gamma=1.0), HarrisSpec(gamma=16.0),
+    HarrisSpec(gamma=200.0)],
+    ids=["arratia", "ou", "generic", "drift", "harris-0.25", "harris-1",
+         "harris-16", "harris-200"])
 def test_lockstep_block_equals_one_stream_builds(model, width):
     rng = RngStream(21, (3,))
     streams = [rng.child(r) for r in range(width)]
@@ -245,17 +250,6 @@ def test_lockstep_block_with_colliding_starters():
         cfg = replace(colliding, observe=observe)
         for skel, stream in zip(build_skeleton(cfg, streams), streams):
             _assert_same_build(skel, build_skeleton(cfg, stream))
-
-
-def test_lockstep_block_of_harris_is_one_stream_only():
-    for observe in ("all", (0.01, 0.015)):
-        cfg = SkeletonConfig.rows(window=(0.0, 1.0), dx=0.25, t0=0.0,
-                                  t1=0.02, dt=1e-3, observe=observe,
-                                  model=HarrisSpec(gamma=1.0))
-        (skel,) = build_skeleton(cfg, [RngStream(3, (1,))])
-        _assert_same_build(skel, build_skeleton(cfg, RngStream(3, (1,))))
-        with pytest.raises(TypeError):
-            build_skeleton(cfg, [RngStream(3, (1,)), RngStream(3, (2,))])
 
 
 @pytest.mark.parametrize("width", [1, 3, 32])
@@ -449,6 +443,21 @@ def test_check_sp_properties_pass():
     assert by_name["SP3_density"].passed
     assert by_name["SP4_cluster_bound"].passed
     assert by_name["SP5_right_modulus"].passed
+
+
+def test_harris_cluster_count_bound_is_the_beta_minorant_bound():
+    """1 + (b - a) min_L [1/L + L / ((1 - e^-gamma L) t)] over the fixed L
+    grid: within 2e-4 of a fine scan's minimum, never below it, and
+    1 + 2 (b - a) / sqrt(t) as gamma grows (min_L 1/L + L/t)."""
+    L = np.linspace(0.05, 20.0, 400_000)
+    for gamma in (0.25, 1.0, 4.0, 16.0, 200.0):
+        got = cluster_count_bound(HarrisSpec(gamma=gamma), 0.2, 0.7, 0.5,
+                                  (0.0, 1.0))
+        fine = 1.0 + 0.5 * np.min(1 / L + L / (-np.expm1(-gamma * L) * 0.5))
+        assert fine - 1e-12 <= got <= fine * (1 + 2e-4), gamma
+    assert cluster_count_bound(HarrisSpec(gamma=1e4), 0.0, 0.5, 0.5,
+                               (0.0, 1.0)) == pytest.approx(
+        1.0 + 2 * 0.5 / math.sqrt(0.5), rel=2e-4)
 
 
 @st.composite

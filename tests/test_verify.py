@@ -208,8 +208,16 @@ def test_lockstep_step_draws_what_a_one_system_step_draws(spec):
         normals_only.standard_normal(2)
         assert (nxt == normals_only.random()) == crossed[r]
     assert crossed.any() and (merged & ~crossed).any() and not merged.all()
-    with pytest.raises(TypeError):
-        step_system(HarrisSpec(), x.ravel(), 0.0, dt, gens, seg)
+    # a Harris lockstep step is the one-system steps end to end
+    gens = [rng.child(r).generator() for r in range(len(x))]
+    got, groups, _ = step_system(HarrisSpec(), x.ravel(), 0.0, dt, gens, seg)
+    ends = np.searchsorted(groups, seg)
+    for r, row in enumerate(x):
+        gen = rng.child(r).generator()
+        pos, _, _ = step_system(HarrisSpec(), row, 0.0, dt, gen)
+        assert np.array_equal(got[ends[r]:ends[r + 1]], pos)
+        assert gens[r].random() == gen.random()
+    assert np.any(np.diff(ends) == 1) and not np.all(np.diff(ends) == 1)
 
 
 @pytest.mark.parametrize("cps", [[0, 5], [5, 21]])
