@@ -22,10 +22,11 @@ import numpy as np
 
 from .errors import (EmptyStarts, InvalidGap, NegativeDuration,
                      NonPositiveDiffusion)
-from .numerics import adaptive_simpson
 from .rng import RngStream
 
-SCALE_REL_TOL = 1e-10
+# scale-function quadrature: relative tolerance, and the absolute floor that
+# lets an inner integral through zero converge
+SCALE_TOL = {"epsrel": 1e-10, "epsabs": 1e-13}
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +43,6 @@ class DiffusionSpec:
     sigma: float = 1.0             # OU volatility
     drift_fn: Optional[Callable] = None
     diffusion_fn: Optional[Callable] = None
-    lipschitz_bound: float = 0.0
 
     @staticmethod
     def arratia() -> "DiffusionSpec":
@@ -55,11 +55,9 @@ class DiffusionSpec:
         return DiffusionSpec(kind="ou", rate=rate, sigma=sigma)
 
     @staticmethod
-    def generic(drift: Callable, diffusion: Callable,
-                lipschitz_bound: float) -> "DiffusionSpec":
+    def generic(drift: Callable, diffusion: Callable) -> "DiffusionSpec":
         return DiffusionSpec(kind="generic", drift_fn=drift,
-                             diffusion_fn=diffusion,
-                             lipschitz_bound=lipschitz_bound)
+                             diffusion_fn=diffusion)
 
     @property
     def has_drift(self) -> bool:
@@ -85,8 +83,8 @@ class DiffusionSpec:
 class HarrisSpec:
     """Harris flow with exponential correlation Gamma(x) = exp(-gamma|x|).
 
-    beta(x) = (1 - e^-gamma) * x minorizes 1 - Gamma on (0, 1], which is the
-    coalescence-forcing condition; merge_gap is the sub-threshold gap at which
+    The coalescence-forcing minorant of 1 - Gamma is the beta_L of
+    skeleton.cluster_count_bound; merge_gap is the sub-threshold gap at which
     a pair is declared met inside a step.
     """
 
@@ -100,9 +98,6 @@ class HarrisSpec:
     def correlation(self, x):
         return np.exp(-self.gamma * np.abs(np.asarray(x, dtype=float)))
 
-    def beta(self, x):
-        return (1.0 - math.exp(-self.gamma)) * np.asarray(x, dtype=float)
-
 
 MotionModel = Union[DiffusionSpec, HarrisSpec]
 
@@ -114,11 +109,13 @@ MotionModel = Union[DiffusionSpec, HarrisSpec]
 def scale_function(spec: DiffusionSpec, x: float) -> float:
     """Drift-removing transform m(x) = int_0^x exp(-2 int_0^y a/b^2) dy.
 
-    Strictly increasing with m(0) = 0; computed by nested adaptive Simpson
-    at relative tolerance 1e-10 because m enters acceptance bounds.
+    Strictly increasing with m(0) = 0, x itself without drift; else nested
+    scipy quad at relative tolerance 1e-10, as m enters acceptance bounds.
     """
-    if x == 0.0:
-        return 0.0
+    if not spec.has_drift or x == 0.0:
+        return float(x)
+    # imported here: simulate and export never need scipy
+    from scipy.integrate import quad
 
     def over_b2(z):
         b = float(spec.diffusion(z))
@@ -127,13 +124,28 @@ def scale_function(spec: DiffusionSpec, x: float) -> float:
         return float(spec.drift(z)) / (b * b)
 
     def integrand(y):
-        if spec.kind == "arratia":
-            inner = 0.0
-        else:
-            inner = adaptive_simpson(over_b2, 0.0, y, rel_tol=SCALE_REL_TOL)
-        return math.exp(-2.0 * inner)
+        return math.exp(-2.0 * quad(over_b2, 0.0, y, **SCALE_TOL)[0])
 
-    return adaptive_simpson(integrand, 0.0, float(x), rel_tol=SCALE_REL_TOL)
+    # Gauss-Kronrod nodes never reach the interval ends
+    over_b2(0.0), over_b2(float(x))
+    return quad(integrand, 0.0, float(x), **SCALE_TOL)[0]
+
+
+def meeting_bound_reference(spec: DiffusionSpec, x: float, y: float,
+                            window, t: float) -> float:
+    """TP5 reference bound for P(no meeting while both stay in the window).
+
+    Driftless: (m(y)-m(x)) / (sqrt(pi t) delta) with delta = inf of b over
+    the window (exact constant from the time-changed reflection argument;
+    delta = 1 for Brownian pairs).  With drift: |m(y)-m(x)| for the
+    drift-removing scale m.
+    """
+    dm = scale_function(spec, y) - scale_function(spec, x)
+    if not spec.has_drift:
+        lo, hi = window
+        delta = float(np.min(spec.diffusion(np.linspace(lo, hi, 257))))
+        return dm / (math.sqrt(math.pi * t) * delta)
+    return abs(dm)
 
 
 def pair_no_meet_probability_exact(x: float, y: float, t: float) -> float:

@@ -39,7 +39,9 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 import struct
+import zlib
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -49,8 +51,8 @@ import numpy as np
 
 from .errors import ConfigError, OffGridTime, OutOfHorizon
 from .motions import (DiffusionSpec, HarrisSpec, MotionModel,
-                      collapse_proposals, propose_diffusion_step,
-                      propose_harris_step, scale_function)
+                      collapse_proposals, meeting_bound_reference,
+                      propose_diffusion_step, propose_harris_step)
 from .reports import TestReport, bound_report, exact_report
 from .rng import RngStream
 
@@ -61,7 +63,7 @@ MAX_GRID = 10_000_000
 # live entries of build records scattered into the history array at a time
 _SCATTER_ENTRIES = 8192
 _MAGIC = b"CFSK"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 
 def model_to_dict(model: MotionModel) -> dict:
@@ -410,6 +412,8 @@ class SkeletonFlow:
     # -- persistence ---------------------------------------------------------
 
     def save(self, path) -> Path:
+        """Write magic, version, JSON header, six length-prefixed arrays and
+        the CRC-32 of every byte after the magic."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         lens = np.diff(self.offsets)
@@ -423,30 +427,45 @@ class SkeletonFlow:
             "n_steps": self.n_steps,
         }
         hb = json.dumps(header, sort_keys=True).encode()
+        parts = [struct.pack("<II", _FORMAT_VERSION, len(hb)), hb]
+        for arr, dtype in ((self.u0, "<f8"), (self.act, "<i8"),
+                           (self.parent, "<i8"), (self.merge_step, "<i8"),
+                           (lens, "<i8"), (self.flat, "<f8")):
+            a = np.ascontiguousarray(arr, dtype=dtype)
+            parts += [struct.pack("<Q", a.nbytes), a]
+        crc = 0
         with open(path, "wb") as fh:
             fh.write(_MAGIC)
-            fh.write(struct.pack("<II", _FORMAT_VERSION, len(hb)))
-            fh.write(hb)
-            for arr, dtype in ((self.u0, "<f8"), (self.act, "<i8"),
-                               (self.parent, "<i8"), (self.merge_step, "<i8"),
-                               (lens, "<i8"), (self.flat, "<f8")):
-                a = np.asarray(arr).astype(dtype)
-                fh.write(struct.pack("<Q", a.nbytes))
-                fh.write(a.tobytes())
+            for part in parts:
+                crc = zlib.crc32(part, crc)
+                fh.write(part)
+            fh.write(struct.pack("<I", crc))
         return path
 
     @staticmethod
     def load(path) -> "SkeletonFlow":
-        """Read a snapshot written by save; a truncated or inconsistent file
-        is a ConfigError."""
+        """Read a snapshot written by save; a truncated, damaged or
+        inconsistent file is a ConfigError."""
+        crc = 0
         with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+
+            def take(n: int) -> bytes:
+                nonlocal crc
+                if n > size - fh.tell():        # before n bytes are allocated
+                    raise ConfigError(f"truncated snapshot: wanted {n} "
+                                      f"bytes, got {size - fh.tell()}")
+                data = fh.read(n)
+                crc = zlib.crc32(data, crc)
+                return data
+
             if fh.read(4) != _MAGIC:
                 raise ConfigError("not a coalflow skeleton snapshot")
-            version, hlen = struct.unpack("<II", _read_exact(fh, 8))
+            version, hlen = struct.unpack("<II", take(8))
             if version != _FORMAT_VERSION:
                 raise ConfigError(f"unsupported snapshot version {version}")
             try:
-                header = json.loads(_read_exact(fh, hlen).decode())
+                header = json.loads(take(hlen).decode())
                 cfg = SkeletonConfig.from_dict(header["config"])
                 seed, rng_path = header["seed"], tuple(header["rng_path"])
                 n_traj = header["n_traj"]
@@ -454,11 +473,12 @@ class SkeletonFlow:
                 raise ConfigError(f"corrupt snapshot header: {exc}") from exc
             arrays = []
             for dtype in ("<f8", "<i8", "<i8", "<i8", "<i8", "<f8"):
-                (nbytes,) = struct.unpack("<Q", _read_exact(fh, 8))
+                (nbytes,) = struct.unpack("<Q", take(8))
                 if nbytes % 8:
                     raise ConfigError(f"snapshot block of {nbytes} bytes")
-                arrays.append(np.frombuffer(_read_exact(fh, nbytes),
-                                            dtype=dtype))
+                arrays.append(np.frombuffer(take(nbytes), dtype=dtype))
+            if fh.read(4) != struct.pack("<I", crc):
+                raise ConfigError("snapshot checksum mismatch")
             if fh.read(1):
                 raise ConfigError("trailing bytes after snapshot")
         u0, act, parent, merge_step, lens, flat = arrays
@@ -480,14 +500,6 @@ class SkeletonFlow:
                             act.astype(np.int64), parent.astype(np.int64),
                             merge_step.astype(np.int64), flat.copy(),
                             np.concatenate(([0], np.cumsum(lens))))
-
-
-def _read_exact(fh, n: int) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise ConfigError(f"truncated snapshot: wanted {n} bytes, "
-                          f"got {len(data)}")
-    return data
 
 
 def build_skeleton(config: SkeletonConfig, rng):
@@ -651,21 +663,16 @@ class SpCheckPlan:
 
 def cluster_count_bound(model: MotionModel, a: float, b: float,
                         duration: float, window) -> float:
-    """1 + m(b) - m(a) with the meeting-time scale of the stepped model:
-    driftless models divide by delta = inf of b over the window, drifting
-    ones use the drift-removing scale m.  Harris flows take the
-    beta-minorant bound 1 + (b - a) min_L [1/L + L / ((1 - e^-gamma L) t)],
-    as beta_L(x) = (1 - e^-gamma L) x / L minorizes 1 - Gamma on (0, L]:
+    """1 + the meeting-time bound of motions.meeting_bound_reference for
+    diffusions.  Harris flows take the beta-minorant bound
+    1 + (b - a) min_L [1/L + L / ((1 - e^-gamma L) t)], as
+    beta_L(x) = (1 - e^-gamma L) x / L minorizes 1 - Gamma on (0, L]:
     every L gives a bound, so a fixed log grid of L does."""
     if isinstance(model, HarrisSpec):
         L = np.geomspace(1e-3, 1e3, 601)
         rate = -np.expm1(-model.gamma * L)
         return 1.0 + (b - a) * float(np.min(1.0 / L + L / (rate * duration)))
-    if not model.has_drift:
-        lo, hi = window
-        delta = float(np.min(model.diffusion(np.linspace(lo, hi, 257))))
-        return 1.0 + (b - a) / (math.sqrt(math.pi * duration) * delta)
-    return 1.0 + scale_function(model, b) - scale_function(model, a)
+    return 1.0 + meeting_bound_reference(model, a, b, window, duration)
 
 
 def check_sp_properties(skel: SkeletonFlow, rng: RngStream,

@@ -22,7 +22,8 @@ import numpy as np
 from . import kernels
 from .errors import NoAnalyticLaw
 from .flows import EvalQuery, evaluate, shift, skeleton_flow_element
-from .motions import DiffusionSpec, scale_function, step_system
+from .motions import (DiffusionSpec, meeting_bound_reference,
+                      pair_no_meet_probability_exact, step_system)
 from .reports import TestReport, bound_report, pvalue_report
 from .rng import RngStream
 from .skeleton import SkeletonConfig, build_skeleton, cluster_count_bound
@@ -33,25 +34,7 @@ SHIFT_BLOCK = 32
 
 
 # ---------------------------------------------------------------------------
-# references derived from the meeting-time lemma
-
-
-def meeting_bound_reference(spec: DiffusionSpec, x: float, y: float,
-                            window, t: float) -> float:
-    """TP5 reference bound for P(no meeting while both stay in the window).
-
-    Driftless: (m(y)-m(x)) / (sqrt(pi t) delta) with delta = inf of b over
-    the window (exact constant from the time-changed reflection argument;
-    delta = 1 for Brownian pairs).  With drift: |m(y)-m(x)| for the
-    drift-removing scale m.
-    """
-    my = scale_function(spec, y)
-    mx = scale_function(spec, x)
-    if not spec.has_drift:
-        lo, hi = window
-        delta = float(np.min(spec.diffusion(np.linspace(lo, hi, 257))))
-        return (my - mx) / (math.sqrt(math.pi * t) * delta)
-    return abs(my - mx)
+# closed-form references
 
 
 def ou_moments(spec: DiffusionSpec, x: float, t: float):
@@ -131,7 +114,8 @@ def test_cluster_density_oracle(n_starts: int, duration: float,
                                              replicas, rng)
     est = float(counts.mean())
     se = float(counts.std(ddof=1) / math.sqrt(replicas))
-    oracle = 1.0 + (n_starts - 1) * math.erf(dx / (2.0 * math.sqrt(duration)))
+    oracle = 1.0 + (n_starts - 1) * pair_no_meet_probability_exact(
+        0.0, dx, duration)
     return TestReport(
         name="cluster_density_oracle", statistic=est, reference=oracle,
         mc_std_error=se, replicas=replicas,
@@ -148,7 +132,6 @@ def test_cluster_density_oracle(n_starts: int, duration: float,
 def test_no_meet_law(x: float, y: float, t: float, replicas: int,
                      rng: RngStream, dt: float = 1e-3,
                      tol: float = 0.01) -> TestReport:
-    from .motions import pair_no_meet_probability_exact
     est, se, _ = kernels.pair_event_probability(
         DiffusionSpec.arratia(), x, y, t, dt, replicas, rng)
     ref = pair_no_meet_probability_exact(x, y, t)

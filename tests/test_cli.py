@@ -1,4 +1,5 @@
 import json
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -287,3 +288,36 @@ def test_corrupt_snapshot_header_is_config_error(snapshot, tmp_path):
     with pytest.raises(ConfigError):
         SkeletonFlow.load(bad)
     assert SkeletonFlow.load(snapshot).n_traj > 0
+
+
+def _flip_offsets(data: bytes) -> dict:
+    """Byte offsets to flip in a snapshot: inside the JSON header, in the
+    middle of each of the six array blocks, in the top byte of the flat
+    block's length (which then claims about 2^60 bytes) and in the trailing
+    CRC-32."""
+    (hlen,) = struct.unpack("<I", data[8:12])
+    pos, offsets = 12 + hlen, {"header": 12 + hlen // 2}
+    for name in ("u0", "act", "parent", "merge_step", "lens", "flat"):
+        (nbytes,) = struct.unpack("<Q", data[pos:pos + 8])
+        assert nbytes > 0
+        offsets[name + "-length"] = pos + 7
+        offsets[name] = pos + 8 + nbytes // 2
+        pos += 8 + nbytes
+    offsets["crc"] = len(data) - 2
+    return offsets
+
+
+@pytest.mark.parametrize("where", ["header", "u0", "act", "parent",
+                                   "merge_step", "lens", "flat",
+                                   "flat-length", "crc"])
+def test_export_bit_flipped_snapshot_exits_2(snapshot, tmp_path, where):
+    data = bytearray(snapshot.read_bytes())
+    data[_flip_offsets(data)[where]] ^= 0x10
+    bad = tmp_path / "flipped.cfsk"
+    bad.write_bytes(bytes(data))
+    with pytest.raises(ConfigError):
+        SkeletonFlow.load(bad)
+    queries = tmp_path / "queries.csv"
+    queries.write_text("s,x,t\n0.1,0.5,0.2\n")
+    assert main(["export", "--snapshot", str(bad), "--queries",
+                 str(queries), "--out", str(tmp_path / "evals.csv")]) == 2

@@ -1,9 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.integrate import IntegrationWarning
+from scipy.special import erfi
 
 from coalflow.errors import (EmptyStarts, InvalidGap, NegativeDuration,
                              NonPositiveDiffusion)
@@ -45,8 +48,34 @@ def test_scale_strictly_increasing():
     assert all(a < b for a, b in zip(ms, ms[1:]))
 
 
+@pytest.mark.parametrize("lam,sigma", [(1.0, 1.0), (1.0, 1.3), (0.7, 1.3),
+                                       (2.0, 0.7)])
+def test_scale_matches_erfi_closed_form(lam, sigma):
+    # a = -lam x, b = sigma: m(x) = (sigma/sqrt(lam)) (sqrt(pi)/2)
+    # erfi(x sqrt(lam) / sigma), as OU and as a generic spec
+    specs = [DiffusionSpec.ornstein_uhlenbeck(lam, sigma),
+             DiffusionSpec.generic(lambda x: -lam * x,
+                                   lambda x: np.full_like(x, sigma))]
+    for x in np.linspace(-3.0, 3.0, 25):
+        ref = (sigma / math.sqrt(lam) * math.sqrt(math.pi) / 2.0
+               * erfi(x * math.sqrt(lam) / sigma))
+        for spec in specs:
+            assert scale_function(spec, float(x)) == pytest.approx(
+                ref, rel=1e-11, abs=0.0)
+
+
+def test_scale_generic_through_zero_drift_integral_increases():
+    # the inner integral of -sin x / b^2 returns to zero near y = 2 pi
+    spec = DiffusionSpec.generic(lambda x: -np.sin(x),
+                                 lambda x: 1.0 + 0.5 * np.cos(x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        ms = [scale_function(spec, float(x)) for x in np.linspace(-7, 7, 57)]
+    assert all(a < b for a, b in zip(ms, ms[1:]))
+
+
 def test_scale_rejects_nonpositive_diffusion():
-    bad = DiffusionSpec.generic(lambda x: 0.0 * x, lambda x: x, 1.0)
+    bad = DiffusionSpec.generic(lambda x: 0.0 * x, lambda x: x)
     with pytest.raises(NonPositiveDiffusion):
         scale_function(bad, 1.0)
 
@@ -222,7 +251,7 @@ def test_collapse_proposals_segments_equal_one_call_each(case):
 @pytest.mark.parametrize("spec", [
     DiffusionSpec.arratia(), DiffusionSpec.ornstein_uhlenbeck(1.0, 1.3),
     DiffusionSpec.generic(lambda x: -np.sin(x),
-                          lambda x: 1.0 + 0.5 * np.cos(x), 1.5),
+                          lambda x: 1.0 + 0.5 * np.cos(x)),
     DriftInjectedSpec(kind="arratia", drift_amp=5.0)],
     ids=["arratia", "ou", "generic", "drift"])
 def test_segmented_diffusion_step_equals_one_call_per_segment(spec):
@@ -258,7 +287,7 @@ def test_segmented_diffusion_step_equals_one_call_per_segment(spec):
 STEP_SPECS = [
     DiffusionSpec.arratia(), DiffusionSpec.ornstein_uhlenbeck(1.0, 1.3),
     DiffusionSpec.generic(lambda x: -np.sin(x),
-                          lambda x: 1.0 + 0.5 * np.cos(x), 1.5),
+                          lambda x: 1.0 + 0.5 * np.cos(x)),
     DriftInjectedSpec(kind="arratia", drift_amp=5.0), HarrisSpec(gamma=0.25),
     HarrisSpec(gamma=1.0), HarrisSpec(gamma=200.0)]
 

@@ -88,7 +88,7 @@ def test_row_landing_on_live_positions_merges_into_them():
     # a 1e-150 diffusion moves no position >= 0.25 by one ulp, so every
     # later row lands exactly on the live clusters of the first one
     frozen = DiffusionSpec.generic(lambda x: np.zeros_like(x),
-                                   lambda x: np.full_like(x, 1e-150), 0.0)
+                                   lambda x: np.full_like(x, 1e-150))
     cfg = SkeletonConfig.rows(window=(0.25, 1.0), dx=0.25, t0=0.0, t1=0.02,
                               dt=1e-3, model=frozen, row_period=0.01)
     skel = build_skeleton(cfg, RngStream(1, (5,)))
@@ -196,7 +196,7 @@ def _assert_same_build(got, want):
 
 
 GENERIC = DiffusionSpec.generic(lambda x: -np.sin(x),
-                                lambda x: 1.0 + 0.5 * np.cos(x), 1.5)
+                                lambda x: 1.0 + 0.5 * np.cos(x))
 
 
 @pytest.mark.parametrize("width", [1, 3, 8])
@@ -232,7 +232,7 @@ def test_lockstep_block_with_colliding_starters():
     positions, so equal values meet across every cut) and extra starts on
     a live position, on each other and on a lattice point."""
     frozen = DiffusionSpec.generic(lambda x: np.zeros_like(x),
-                                   lambda x: np.full_like(x, 1e-150), 0.0)
+                                   lambda x: np.full_like(x, 1e-150))
     extras = ((0.01, 0.5), (0.01, 0.123), (0.01, 0.123), (0.015, 0.75))
     cfg = SkeletonConfig.rows(window=(0.25, 1.0), dx=0.25, t0=0.0, t1=0.02,
                               dt=1e-3, model=frozen, row_period=0.005,

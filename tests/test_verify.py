@@ -12,7 +12,7 @@ from coalflow.skeleton import SkeletonConfig, build_skeleton
 
 OU = DiffusionSpec.ornstein_uhlenbeck(1.0, 1.0)
 GENERIC = DiffusionSpec.generic(lambda x: -np.sin(x),
-                                lambda x: 1.0 + 0.5 * np.cos(x), 1.5)
+                                lambda x: 1.0 + 0.5 * np.cos(x))
 PAIR_SPECS = pytest.mark.parametrize(
     "spec", [DiffusionSpec.arratia(),
              DiffusionSpec.ornstein_uhlenbeck(1.0, 1.3), GENERIC],
@@ -82,8 +82,7 @@ def test_marginal_laws():
     assert r.passed
     r = verify.test_marginal_law(OU, 1.0, 1.0, 5000, RngStream(4, (1,)))
     assert r.passed
-    generic = DiffusionSpec.generic(lambda x: -x, lambda x: np.ones_like(x),
-                                    1.0)
+    generic = DiffusionSpec.generic(lambda x: -x, lambda x: np.ones_like(x))
     r = verify.test_marginal_law(generic, 0.0, 1.0, 100, RngStream(4, (2,)))
     assert r.passed and "skipped" in r.rule
 
