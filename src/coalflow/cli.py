@@ -120,13 +120,16 @@ def _bundle_path_index(name: str) -> int:
 
 def _read_queries(path: str) -> list:
     """Raw (s, x, t) text of each query row; a file without all three
-    columns is a ConfigError."""
+    columns, or that is not UTF-8 text or not CSV, is a ConfigError."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = {"s", "x", "t"} - set(reader.fieldnames or ())
-        if missing:
-            raise ConfigError(f"{path}: no column(s) {sorted(missing)}")
-        return [(r["s"], r["x"], r["t"]) for r in reader]
+        try:
+            reader = csv.DictReader(fh)
+            missing = {"s", "x", "t"} - set(reader.fieldnames or ())
+            if missing:
+                raise ConfigError(f"{path}: no column(s) {sorted(missing)}")
+            return [(r["s"], r["x"], r["t"]) for r in reader]
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise ConfigError(f"{path}: not a UTF-8 CSV file: {exc}") from None
 
 
 def _parse_query(fields):

@@ -29,6 +29,10 @@ REPLICA_DEFAULTS = {
     "control_stopped": 1500, "control_shift": 500,
 }
 
+# least replica count of a check at any scale or override: a negative
+# control run below its default count stops detecting its planted defect
+REPLICA_FLOORS = {"control_meeting": 20_000, "control_stopped": 1500}
+
 KNOWN_BUNDLES = (
     "counterexample", "axioms", "cocycle", "motion-laws", "meeting-bound",
     "cluster-count", "skeleton-sp", "stopped", "shift", "rng",
@@ -95,9 +99,10 @@ class RunConfig:
 
     def n_replicas(self, key: str) -> int:
         """The replica count of a REPLICA_DEFAULTS key: its override or
-        default, times scale, rounded and at least 1."""
+        default, times scale, rounded and at least its REPLICA_FLOORS
+        entry (else 1)."""
         n = self.replicas.get(key, REPLICA_DEFAULTS[key])
-        return max(1, int(round(n * self.scale)))
+        return max(REPLICA_FLOORS.get(key, 1), int(round(n * self.scale)))
 
     def to_dict(self) -> dict:
         return {

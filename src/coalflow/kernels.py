@@ -8,7 +8,8 @@ motions._bridge_exponent (the one bridge law, for a pair of points or a
 point and a fixed barrier); the test suite checks them against closed
 forms.  The cluster-count sampler steps blocks of replicas in lockstep
 through the segmented propose_diffusion_step and collapse_proposals, one
-generator per replica, as the skeleton builder does.
+generator per replica for both kinds of draw (the skeleton builder gives
+each replica two streams).
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import NegativeDuration
-from .motions import (DiffusionSpec, _bridge_exponent, _euler_proposal,
-                      collapse_proposals, propose_diffusion_step)
+from .motions import (DiffusionSpec, Draws, _bridge_exponent,
+                      _euler_proposal, collapse_proposals,
+                      propose_diffusion_step)
 from .rng import RngStream
 
 # replicas per lockstep block in cluster_count_sample
@@ -206,11 +208,13 @@ def cluster_count_sample(spec: DiffusionSpec, starts: np.ndarray,
     from `starts`, one count per replica, plus the in-box indicator of the
     extreme paths (TP5-style conditioning event).
 
-    Replica r draws from rng.child(r); CLUSTER_BLOCK replicas step in
-    lockstep as the segments of one array, through the segmented
-    propose_diffusion_step and collapse_proposals, so each replica's
-    result is that of its own one-system run.  detection: "bridge"
-    (production) or "off" (coalescence detector disabled; hostile fixture).
+    Replica r draws from the one generator of rng.child(r), normals then
+    uniforms each step (motions.Draws in its shared, unbuffered form);
+    CLUSTER_BLOCK replicas step in lockstep as the segments of one array,
+    through the segmented propose_diffusion_step and collapse_proposals,
+    so each replica's result is that of its own one-system run.
+    detection: "bridge" (production) or "off" (coalescence detector
+    disabled; hostile fixture).
     """
     if detection not in ("bridge", "off"):
         raise ValueError(f"unknown detection mode {detection!r}")
@@ -219,15 +223,14 @@ def cluster_count_sample(spec: DiffusionSpec, starts: np.ndarray,
     counts = np.empty(replicas, dtype=np.int64)
     inbox = np.ones(replicas, dtype=bool)
     for lo in range(0, replicas, CLUSTER_BLOCK):
-        gens = [rng.child(r).generator()
-                for r in range(lo, min(lo + CLUSTER_BLOCK, replicas))]
-        m = len(gens)
+        m = min(CLUSTER_BLOCK, replicas - lo)
+        draws = Draws([rng.child(r).generator() for r in range(lo, lo + m)])
         pos = np.tile(first, m)
         seg = np.arange(m + 1) * first.size
         ok = inbox[lo:lo + m]           # a view: ok &= writes inbox
         for k in range(n_steps):
-            prop, flags = propose_diffusion_step(spec, pos, k * dt, dt, gens,
-                                                 segments=seg)
+            prop, flags = propose_diffusion_step(spec, pos, k * dt, dt,
+                                                 draws, segments=seg)
             if detection == "off" or not flags.any():
                 pos = prop
             else:

@@ -246,17 +246,112 @@ def _segments(segments: Optional[np.ndarray], n: int):
             segments[bisect_right(bounds, 0):bisect_left(bounds, n)])
 
 
-def _segment_normals(gen, segments: Optional[np.ndarray], n: int):
-    """(gens, segments, z, heads) of a step: segments and heads as
-    _segments makes them, a lone generator as the one of one segment, and
-    z filled segment by segment with gens[i].standard_normal of its size."""
-    gens = [gen] if segments is None else gen
+# entries per kind that a lockstep block's draw buffers hold
+DRAW_BUDGET = 2**15
+
+
+class _Kind:
+    """One kind of draw (a Generator method name) for m rows: a 2-D
+    buffer with a cursor and an end per row.  Width 0 draws straight from
+    the generators, row by row."""
+
+    def __init__(self, gens, method: str, width: int):
+        self.draw = [getattr(g, method) for g in gens]
+        self.width = width
+        self.buf = np.empty((len(gens), width))
+        self.cur = np.zeros(len(gens), dtype=np.int64)
+        self.end = np.zeros(len(gens), dtype=np.int64)
+
+    def take(self, counts: np.ndarray) -> np.ndarray:
+        """The next counts[r] values of every row r, rows end to end."""
+        if len(counts) != len(self.draw):
+            raise ValueError(f"{len(counts)} counts for {len(self.draw)} rows")
+        total = int(counts.sum())
+        if not self.width:
+            out = np.empty(total)
+            a = 0
+            for draw, c in zip(self.draw, counts.tolist()):
+                if c:
+                    draw(out=out[a:a + c])
+                    a += c
+            return out
+        if counts.size == 1:            # one row: a slice, no gather
+            c = total
+            if self.cur[0] + c > self.end[0]:
+                self._refill(0, c)
+            a = int(self.cur[0])
+            self.cur[0] = a + c
+            return self.buf[0, a:a + c].copy()
+        nxt = self.cur + counts
+        for r in np.flatnonzero(nxt > self.end).tolist():
+            self._refill(r, int(counts[r]))
+            nxt[r] = counts[r]
+        cols = self.buf.shape[1]
+        first = np.cumsum(counts) - counts
+        idx = np.repeat(np.arange(0, cols * counts.size, cols) + self.cur
+                        - first, counts) + np.arange(total)
+        self.cur = nxt
+        return self.buf.take(idx)
+
+    def _refill(self, r: int, need: int) -> None:
+        """Row r keeps its leftover and is filled from its own generator up
+        to max(width, need) entries."""
+        cols = max(self.width, need)
+        if cols > self.buf.shape[1]:
+            wider = np.empty((self.buf.shape[0], cols))
+            wider[:, :self.buf.shape[1]] = self.buf
+            self.buf = wider
+        row, c, e = self.buf[r], self.cur[r], self.end[r]
+        row[:e - c] = row[c:e]
+        self.draw[r](out=row[e - c:cols])
+        self.cur[r], self.end[r] = 0, cols
+
+
+class Draws:
+    """The normals and uniforms of a block of m lockstep systems, one row
+    each.
+
+    Row r takes its normals from normal_gens[r] and its uniforms from
+    uniform_gens[r], drawn ahead width at a time.  From one Generator,
+    standard_normal (or random) filled into a[:k] and then a[k:] equals one
+    call for all of a, so every row takes exactly what its generators give
+    it drawn one step at a time, whatever the width.  uniform_gens None
+    shares normal_gens, which needs width 0: each step then draws
+    standard_normal, then random, as one generator per system always did.
+    """
+
+    def __init__(self, normal_gens: Sequence, uniform_gens=None,
+                 width: int = 0):
+        if uniform_gens is None:
+            if width:
+                raise ValueError("shared generators cannot draw ahead")
+            uniform_gens = normal_gens
+        if len(uniform_gens) != len(normal_gens):
+            raise ValueError("one uniform generator per normal generator")
+        self.normal = _Kind(normal_gens, "standard_normal", width)
+        self.uniform = _Kind(uniform_gens, "random", width)
+
+    @staticmethod
+    def of(streams: Sequence[RngStream], need: int, most: int) -> "Draws":
+        """Two-stream draws of replica streams: normals from
+        stream.child(0), uniforms from stream.child(1).  Each kind's
+        buffers hold about DRAW_BUDGET entries, at least need a row (the
+        most a row takes in one step) and no more than most (the most it
+        takes in all), which moves no value."""
+        width = max(min(DRAW_BUDGET // max(len(streams), 1), most), need)
+        return Draws([s.child(0).generator() for s in streams],
+                     [s.child(1).generator() for s in streams], width)
+
+
+def _segment_normals(draws, segments: Optional[np.ndarray], n: int):
+    """(draws, segments, z, heads) of a step: segments and heads as
+    _segments makes them, a lone Generator as the Draws of one segment,
+    and z each segment's normals end to end."""
+    if isinstance(draws, np.random.Generator):
+        draws = Draws([draws])
     segments, bounds, heads = _segments(segments, n)
-    z = np.empty(n)
-    for g, a, b in zip(gens, bounds[:-1], bounds[1:]):
-        if b > a:
-            g.standard_normal(out=z[a:b])
-    return gens, segments, z, heads
+    z = draws.normal.take(np.diff(segments))
+    return draws, segments, z, heads
 
 
 def _euler_proposal(spec: DiffusionSpec, x: np.ndarray, z: np.ndarray,
@@ -300,25 +395,26 @@ def _bridge_exponent(spec: DiffusionSpec, d0: np.ndarray, d1: np.ndarray,
 
 
 def propose_diffusion_step(spec: DiffusionSpec, positions: np.ndarray,
-                           time: float, dt: float, gen,
+                           time: float, dt: float, draws,
                            segments: Optional[np.ndarray] = None):
     """One Euler-Maruyama step for all clusters plus per-adjacent-pair merge
     decisions (sign change always merges; otherwise the frozen-coefficient
     bridge law with variance rate b(x_i)^2 + b(x_j)^2 decides).
 
-    Draws standard_normal(n), then random(k) for the k pairs whose gap is
-    still positive.  The named kinds take closed-form fast paths; this is
-    the innermost loop of every coalescing sampler.  The proposal is
+    Takes n normals, then one uniform for each of the k pairs whose gap is
+    still positive: from a lone Generator, standard_normal(n) and then
+    random(k).  The named kinds take closed-form fast paths; this is the
+    innermost loop of every coalescing sampler.  The proposal is
     _euler_proposal's, time drift included.
 
-    Lockstep systems, in every step kernel: gen may be a sequence of m
-    generators, with segments the m + 1 nondecreasing offsets (0 first, n
-    last) that cut positions into m independent, strictly increasing
-    systems (a lone generator is one segment).  System i draws from gen[i]
-    what a one-generator call on it draws; no pair across a cut is flagged.
+    Lockstep systems, in every step kernel: draws may be the Draws of m
+    rows, with segments the m + 1 nondecreasing offsets (0 first, n last)
+    that cut positions into m independent, strictly increasing systems (a
+    lone Generator is one segment).  System i takes from row i what a
+    one-row call on it takes; no pair across a cut is flagged.
     """
     x = positions
-    gens, segments, z, heads = _segment_normals(gen, segments, x.size)
+    draws, segments, z, heads = _segment_normals(draws, segments, x.size)
     prop, b = _euler_proposal(spec, x, z, time, dt)
     d1 = prop[1:] - prop[:-1]
     flags = d1 <= 0.0
@@ -328,18 +424,8 @@ def propose_diffusion_step(spec: DiffusionSpec, positions: np.ndarray,
     if pairs.size:
         ends = None if b is None else (b[:-1], b[1:])
         expo = _bridge_exponent(spec, x[1:] - x[:-1], d1, ends, dt)[pairs]
-        if pairs.size <= len(gens):
-            # few draws, as for C8's pairs: k scalar random() calls draw
-            # what random(k) draws, at half a sliced call's cost each
-            owner = np.searchsorted(segments, pairs, side="right") - 1
-            u = np.array([gens[i].random() for i in owner.tolist()])
-        else:
-            # open pairs before each segment's first pair
-            ub = np.searchsorted(pairs, segments).tolist()
-            u = np.empty(pairs.size)
-            for g, a, c in zip(gens, ub[:-1], ub[1:]):
-                if c > a:
-                    g.random(out=u[a:c])
+        # each segment's open pairs
+        u = draws.uniform.take(np.diff(np.searchsorted(pairs, segments)))
         hit = u < np.exp(expo)
         if hit.any():
             flags[pairs] = hit
@@ -347,7 +433,7 @@ def propose_diffusion_step(spec: DiffusionSpec, positions: np.ndarray,
 
 
 def propose_harris_step(spec: HarrisSpec, positions: np.ndarray, dt: float,
-                        gen, segments: Optional[np.ndarray] = None):
+                        draws, segments: Optional[np.ndarray] = None):
     """Joint Gaussian step with covariance Gamma(x_i - x_j) dt; merges on sign
     change or a sub-threshold gap.
 
@@ -355,13 +441,13 @@ def propose_harris_step(spec: HarrisSpec, positions: np.ndarray, dt: float,
     stationary Ornstein-Uhlenbeck process in x, so its lower Cholesky factor
     is applied exactly, in O(n), by the Markov recursion W_0 = z_0,
     W_i = rho_i W_{i-1} + sigma_i z_i with rho_i = exp(-gamma(x_i - x_{i-1}))
-    and sigma_i = sqrt(1 - rho_i^2).  One standard_normal(n) draw per step.
+    and sigma_i = sqrt(1 - rho_i^2).  Takes n normals a step, no uniform.
 
     Lockstep systems as in propose_diffusion_step: the recursion restarts at
     each segment's first entry, its gap +inf (rho = 0, sigma = 1, W = z).
     """
     x = positions
-    _, _, z, heads = _segment_normals(gen, segments, x.size)
+    _, _, z, heads = _segment_normals(draws, segments, x.size)
     gap = np.concatenate(([np.inf], np.diff(x)))
     gap[heads] = np.inf
     rho = np.exp(-spec.gamma * gap).tolist()
@@ -379,25 +465,27 @@ def propose_harris_step(spec: HarrisSpec, positions: np.ndarray, dt: float,
 
 
 def step_system(model: MotionModel, positions: np.ndarray, time: float,
-                dt: float, gen, segments: Optional[np.ndarray] = None):
+                dt: float, draws, segments: Optional[np.ndarray] = None):
     """One step of the coalescing motion on strictly increasing cluster
     positions: the model's proposal step, then collapse_proposals.
 
     Returns (positions, starts, counts) as collapse_proposals does; the
     skeleton builder runs the same two kernels on the same draws, time
-    drift included.
+    drift included.  draws is a lone Generator, taken from as the proposal
+    step says, or a Draws.
 
-    Lockstep systems, for every model: gen may instead be a sequence of m
-    generators and segments the m + 1 offsets that cut positions into m
-    independent systems, as in propose_diffusion_step; system i draws from
-    gen[i] exactly what a one-system call on its segment draws, and its
-    clusters are the groups that np.searchsorted(starts, segments) cuts.
+    Lockstep systems, for every model: draws may be the Draws of m rows and
+    segments the m + 1 offsets that cut positions into m independent
+    systems, as in propose_diffusion_step; system i takes from row i
+    exactly what a one-row call on its segment takes, and its clusters are
+    the groups that np.searchsorted(starts, segments) cuts.
     """
     if isinstance(model, HarrisSpec):
-        prop, flags = propose_harris_step(model, positions, dt, gen, segments)
+        prop, flags = propose_harris_step(model, positions, dt, draws,
+                                          segments)
     else:
-        prop, flags = propose_diffusion_step(model, positions, time, dt, gen,
-                                             segments)
+        prop, flags = propose_diffusion_step(model, positions, time, dt,
+                                             draws, segments)
     return collapse_proposals(prop, flags, segments)
 
 
@@ -407,7 +495,8 @@ def sample_npoint_motion(model: MotionModel, starts: Sequence[float],
     """Discrete-time paths of the n-point motion from sorted starts, as an
     (n_steps + 1, len(starts)) array of per-particle positions; duplicate
     starts occupy one cluster from time zero, and merged particles share
-    one value from the step they meet on."""
+    one value from the step they meet on.  Draws as a one-stream skeleton
+    build does: normals from rng.child(0), uniforms from rng.child(1)."""
     starts = np.asarray(starts, dtype=float)
     if starts.size == 0:
         raise EmptyStarts("no starting points")
@@ -415,13 +504,13 @@ def sample_npoint_motion(model: MotionModel, starts: Sequence[float],
         raise ValueError("starts must be sorted nondecreasing")
     if dt <= 0 or horizon < 0:
         raise NegativeDuration("need dt > 0 and horizon >= 0")
-    gen = rng.generator()
     n_steps = int(round(horizon / dt))
     pos, label = np.unique(starts, return_inverse=True)
+    draws = Draws.of([rng], pos.size, n_steps * pos.size)
     path = np.empty((n_steps + 1, starts.size), dtype=float)
     path[0] = pos[label]
     for k in range(n_steps):
-        pos, _, counts = step_system(model, pos, k * dt, dt, gen)
+        pos, _, counts = step_system(model, pos, k * dt, dt, draws)
         label = np.repeat(np.arange(counts.size), counts)[label]
         path[k + 1] = pos[label]
     return path

@@ -5,6 +5,13 @@ conventionally deepened as replica / trajectory / step.  Identical addresses
 reproduce identical draws; distinct paths are statistically independent.
 Backed by numpy's Philox counter-based generator keyed through SeedSequence
 spawn keys.
+
+Stream layout of the coalescing samplers (motions.Draws.of): a replica or
+skeleton stream s gives its step kernels their normals from s.child(0) and
+their uniforms from s.child(1), so both kinds can be drawn ahead in blocks;
+no other draw may come from those two children.  The cluster-count sampler
+(kernels.cluster_count_sample) still draws both kinds, normals first each
+step, from the one generator of its replica stream.
 """
 
 from __future__ import annotations

@@ -19,12 +19,13 @@ read goes through them, and a step that is not kept is an OffGridTime.
 One engine builds a block of independent replicas in lockstep: their live
 clusters lie end to end in the live arrays, one segment per replica, and
 each step's proposal, bridge test, collapse and merge bookkeeping run once
-over the block.  Every replica keeps its own generator and draws from it
-what it would draw built alone (Philox streams are addressed by counter, so
-a replica's draws do not depend on its block), and no pair across a
-segment cut is flagged, drawn for or folded, so each skeleton of a block is
-bit-identical to its one-stream build.  The segment offsets change only at
-merges and injections; a one-replica build is a one-segment block.
+over the block.  Every replica keeps its own two streams (motions.Draws:
+normals from stream.child(0), uniforms from stream.child(1)) and takes from
+them what it would take built alone (Philox streams are addressed by
+counter, so a replica's draws do not depend on its block), and no pair
+across a segment cut is flagged, drawn for or folded, so each skeleton of a
+block is bit-identical to its one-stream build.  The segment offsets change
+only at merges and injections; a one-replica build is a one-segment block.
 
 Ids run in activation order, a merge keeps the least id of its group, and a
 starter merged at injection points at a live id or at an earlier starter of
@@ -50,7 +51,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import ConfigError, OffGridTime, OutOfHorizon
-from .motions import (DiffusionSpec, HarrisSpec, MotionModel,
+from .motions import (DiffusionSpec, Draws, HarrisSpec, MotionModel,
                       collapse_proposals, meeting_bound_reference,
                       propose_diffusion_step, propose_harris_step)
 from .reports import TestReport, bound_report, exact_report
@@ -513,14 +514,16 @@ def build_skeleton(config: SkeletonConfig, rng):
     a live position, or on an earlier starter of the step, merges at
     injection) and records the live positions if step k is kept.
 
-    rng may instead be a sequence of m RngStreams, for m independent
-    replicas built in lockstep; one SkeletonFlow per stream is returned, in
-    order.  Replica r draws from its own stream exactly what a one-stream
-    build draws, so each result is bit-identical to build_skeleton(config,
-    rng[r]).  The replicas' live clusters lie end to end in one array, cut
-    into one segment per replica, so each step's proposal, bridge test,
-    collapse and merge bookkeeping run once for the whole block, whatever
-    the model.
+    The step kernels take their normals from rng.child(0) and their
+    uniforms from rng.child(1), through motions.Draws.  rng may instead be
+    a sequence of m RngStreams, for m independent replicas built in
+    lockstep; one SkeletonFlow per stream is returned, in order.  Replica r
+    takes from its own two streams exactly what a one-stream build takes,
+    so each result is bit-identical to build_skeleton(config, rng[r]).
+    The replicas' live clusters lie end to end in one array, cut into one
+    segment per replica, so each step's proposal, bridge test, collapse
+    and merge bookkeeping run once for the whole block, whatever the
+    model.
 
     With config.observe a tuple of times the build runs on
     config.until(its last observed step): its draws and tables are the
@@ -552,7 +555,7 @@ def build_skeleton(config: SkeletonConfig, rng):
     merge_step = np.full(m * n, -1, dtype=np.int64)
     first = np.searchsorted(act, np.arange(K + 2))  # ids first[k]:first[k+1]
 
-    gens = [r.generator() for r in rngs]
+    draws = Draws.of(rngs, n, K * n)
     live_id = np.zeros(0, dtype=np.int64)
     live_pos = np.zeros(0)
     seg = np.zeros(m + 1, dtype=np.int64)
@@ -561,10 +564,11 @@ def build_skeleton(config: SkeletonConfig, rng):
         if k and live_pos.size:
             if isinstance(model, HarrisSpec):
                 prop, flags = propose_harris_step(model, live_pos, config.dt,
-                                                  gens, seg)
+                                                  draws, seg)
             else:
                 prop, flags = propose_diffusion_step(
-                    model, live_pos, float(times[k - 1]), config.dt, gens, seg)
+                    model, live_pos, float(times[k - 1]), config.dt, draws,
+                    seg)
             if flags.any():
                 live_pos, starts, counts = collapse_proposals(prop, flags, seg)
                 keep = np.minimum.reduceat(live_id, starts)
@@ -606,6 +610,7 @@ def build_skeleton(config: SkeletonConfig, rng):
         if rank[k + 1] > rank[k]:
             records.append(live_pos)
 
+    del draws       # its buffers go before the histories are built
     flat, offsets = _histories(records, injected, np.tile(rank[act], m),
                                merge_step, rank)
     flows = [SkeletonFlow(config, stream.seed, stream.path, u0, act,
@@ -620,17 +625,22 @@ def _histories(records: list, injected: list, act_rank: np.ndarray,
                merge_step: np.ndarray, rank: np.ndarray):
     """(flat, offsets) of a build from its records, one per kept step, which
     are freed as they are used.  Own history lengths follow from act_rank
-    (rank[act]), merge_step and rank.  Merges keep the order of the live
-    clusters, so the live ids at a step are those of the last injection
-    still live, in its order: scatter each kept step's positions into their
-    id-ordered places, a run of kept steps at a time.
+    (rank[act], overwritten), merge_step and rank.  Merges keep the order
+    of the live clusters, so the live ids at a step are those of the last
+    injection still live, in its order: scatter each kept step's positions
+    into their id-ordered places, a run of kept steps at a time.
     """
     steps = np.flatnonzero(np.diff(rank))    # records[r] is steps[r]'s
-    ends = np.where(merge_step < 0, rank.size - 1, merge_step)
+    ends = merge_step.copy()
+    ends[ends < 0] = rank.size - 1
+    # lengths, then offsets, in place: no further block-sized temporaries
     offsets = np.zeros(ends.size + 1, dtype=np.int64)
-    np.cumsum(rank[ends] - act_rank, out=offsets[1:])
+    lens = offsets[1:]
+    np.take(rank, ends, out=lens)
+    lens -= act_rank
+    np.cumsum(lens, out=lens)
     flat = np.empty(int(offsets[-1]))
-    at_rank0 = offsets[:-1] - act_rank
+    at_rank0 = np.subtract(offsets[:-1], act_rank, out=act_rank)
     b = steps.size
     for k, ids in reversed(injected):
         a = int(rank[k])

@@ -22,7 +22,7 @@ import numpy as np
 from . import kernels
 from .errors import NoAnalyticLaw
 from .flows import EvalQuery, evaluate, shift, skeleton_flow_element
-from .motions import (DiffusionSpec, meeting_bound_reference,
+from .motions import (DiffusionSpec, Draws, meeting_bound_reference,
                       pair_no_meet_probability_exact, step_system)
 from .reports import TestReport, bound_report, pvalue_report
 from .rng import RngStream
@@ -243,18 +243,20 @@ def _production_stopped_paths(spec: DiffusionSpec, starts, t: float,
 
     Returns (replicas, 2 * len(checkpoints) + 1): both positions at each
     checkpoint step (a merged pair reports its one position twice) and the
-    grid meeting time, t if the pair never met.  The live pairs are the
-    two-entry segments of one array stepped in lockstep, replica r drawing
-    from its own rng.child(r) what it would draw stepped alone, so no path
-    depends on the number of replicas.  A segment that collapses to one
-    entry is a pair that met: it is recorded and dropped.
+    grid meeting time, t if the pair never met.  The pairs are the
+    two-entry segments of one array stepped in lockstep, replica r taking
+    from its own rng.child(r) what it would take stepped alone (normals
+    from rng.child(r, 0), uniforms from rng.child(r, 1), as
+    motions.Draws.of lays them out), so no path depends on the number of
+    replicas.  A segment that collapses to one entry is a pair that met:
+    it is recorded and left empty, so its row of draws never moves again.
     """
     cps = sorted(checkpoint_steps)
     n_steps = int(round(t / dt))
     if cps and not 1 <= cps[0] <= cps[-1] <= n_steps:
         raise ValueError(f"checkpoint steps must lie in 1..{n_steps}")
-    gens = [rng.child(r).generator() for r in range(replicas)]
-    live = np.arange(replicas)
+    draws = Draws.of([rng.child(r) for r in range(replicas)], 2,
+                     2 * n_steps)
     cur = np.tile(np.asarray(starts, dtype=float), replicas)
     seg = np.arange(0, cur.size + 1, 2)
     pos = cur.reshape(replicas, 2).copy()   # every replica; frozen once met
@@ -262,20 +264,20 @@ def _production_stopped_paths(spec: DiffusionSpec, starts, t: float,
     out = np.empty((replicas, 2 * len(cps) + 1), dtype=float)
     col = 0
     for k in range(1, n_steps + 1):
-        if live.size:
-            cur, groups, _ = step_system(spec, cur, (k - 1) * dt, dt, gens,
+        if cur.size:
+            cur, groups, _ = step_system(spec, cur, (k - 1) * dt, dt, draws,
                                          seg)
             if groups.size < seg[-1]:
                 sizes = np.diff(np.searchsorted(groups, seg))
                 met = sizes == 1
                 lone = np.repeat(met, sizes)    # the one entry of a met pair
-                pos[live[met]] = cur[lone, None]
-                meet_time[live[met]] = k * dt
-                cur, live = cur[~lone], live[~met]
-                gens = [g for g, gone in zip(gens, met.tolist()) if not gone]
-                seg = seg[:live.size + 1]
+                pos[met] = cur[lone, None]
+                meet_time[met] = k * dt
+                cur = cur[~lone]
+                sizes[met] = 0
+                seg[1:] = np.cumsum(sizes)
         while col < 2 * len(cps) and k == cps[col // 2]:
-            pos[live] = cur.reshape(-1, 2)
+            pos[np.diff(seg) == 2] = cur.reshape(-1, 2)
             out[:, col:col + 2] = pos
             col += 2
     out[:, -1] = meet_time

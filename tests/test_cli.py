@@ -237,6 +237,20 @@ def test_export_missing_column_or_file_exits_2(snapshot, tmp_path):
                  str(tmp_path / "evals.csv")]) == 2
 
 
+@pytest.mark.parametrize("data", [
+    b"s,x,t\n0.1,0.5,0.2\n0.1,\xff\xfe,0.2\n", b"\xff\xfes,x,t\n",
+    b"s,x,t\n0.1," + b"5" * 200_000 + b",0.2\n"],
+    ids=["undecodable-field", "undecodable-header", "field-over-csv-limit"])
+def test_export_unreadable_queries_exit_2(snapshot, tmp_path, capsys, data):
+    """Queries that are not UTF-8 text, or that the csv module refuses,
+    are a ConfigError (exit 2), not a traceback."""
+    queries = tmp_path / "queries.csv"
+    queries.write_bytes(data)
+    assert main(["export", "--snapshot", str(snapshot), "--queries",
+                 str(queries), "--out", str(tmp_path / "evals.csv")]) == 2
+    assert "queries.csv" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("cut", ["tail", "header"])
 def test_export_truncated_snapshot_exits_2(snapshot, tmp_path, cut):
     data = snapshot.read_bytes()

@@ -10,7 +10,8 @@ from scipy.special import erfi
 
 from coalflow.errors import (EmptyStarts, InvalidGap, NegativeDuration,
                              NonPositiveDiffusion)
-from coalflow.motions import (DiffusionSpec, HarrisSpec,
+from coalflow import motions
+from coalflow.motions import (DiffusionSpec, Draws, HarrisSpec,
                               bridge_cross_probability, collapse_proposals,
                               pair_no_meet_probability_exact,
                               propose_diffusion_step, propose_harris_step,
@@ -248,6 +249,104 @@ def test_collapse_proposals_segments_equal_one_call_each(case):
     assert np.array_equal(counts, np.concatenate([w[2] for w in want]))
 
 
+# ---------------------------------------------------------------------------
+# draws of lockstep blocks
+
+
+def _own(stream):
+    """A system's own two streams, drawn from directly (width 0)."""
+    return Draws([stream.child(0).generator()], [stream.child(1).generator()])
+
+
+def _next_draws(draws, r, m):
+    """The next normal and the next uniform of row r of m."""
+    one = np.zeros(m, dtype=np.int64)
+    one[r] = 1
+    return draws.normal.take(one)[0], draws.uniform.take(one)[0]
+
+
+@st.composite
+def _take_schedules(draw):
+    """m rows and the (normal, uniform) counts of each step: zeros, counts
+    above the width, and rows that go empty for good."""
+    m = draw(st.integers(min_value=1, max_value=5))
+    width = draw(st.integers(min_value=0, max_value=9))
+    counts = st.lists(st.integers(min_value=0, max_value=14), min_size=m,
+                      max_size=m)
+    steps = draw(st.lists(st.tuples(counts, counts), max_size=12))
+    gone = draw(st.lists(st.integers(min_value=0, max_value=12), min_size=m,
+                         max_size=m))
+    schedule = [(np.array(n) * (k < np.array(gone)),
+                 np.array(u) * (k < np.array(gone)))
+                for k, (n, u) in enumerate(steps)]
+    return m, width, schedule
+
+
+def _rows(takes, counts):
+    """Each row's values of a list of takes, concatenated."""
+    rows = [[] for _ in range(len(counts[0]) if counts else 0)]
+    for values, c in zip(takes, counts):
+        for r, part in enumerate(np.split(values, np.cumsum(c)[:-1])):
+            rows[r].append(part)
+    return [np.concatenate(parts) for parts in rows]
+
+
+@given(_take_schedules(), st.integers(min_value=0, max_value=999))
+def test_draws_rows_equal_their_own_streams(case, seed):
+    """Whatever the width and the refill points, each row's takes are its
+    own streams' standard_normal(total) and random(total); the shared,
+    width-0 form interleaves standard_normal(n), random(k) a step, as one
+    generator per system drew."""
+    m, width, schedule = case
+    streams = [RngStream(seed, (2, r)) for r in range(m)]
+    draws = Draws([s.child(0).generator() for s in streams],
+                  [s.child(1).generator() for s in streams], width)
+    normals = [draws.normal.take(n) for n, _ in schedule]
+    uniforms = [draws.uniform.take(u) for _, u in schedule]
+    for r, (z, u) in enumerate(zip(_rows(normals, [n for n, _ in schedule]),
+                                   _rows(uniforms, [u for _, u in schedule]))):
+        assert np.array_equal(
+            z, streams[r].child(0).generator().standard_normal(z.size))
+        assert np.array_equal(
+            u, streams[r].child(1).generator().random(u.size))
+    shared = Draws([s.generator() for s in streams])
+    refs = [s.generator() for s in streams]
+    for n, u in schedule:
+        got_z, got_u = shared.normal.take(n), shared.uniform.take(u)
+        want_z = [g.standard_normal(c) for g, c in zip(refs, n.tolist())]
+        want_u = [g.random(c) for g, c in zip(refs, u.tolist())]
+        assert np.array_equal(got_z, np.concatenate(want_z))
+        assert np.array_equal(got_u, np.concatenate(want_u))
+
+
+def test_draws_refuse_shared_buffers_and_wrong_row_counts():
+    gens = [RngStream(1, (r,)).generator() for r in range(2)]
+    with pytest.raises(ValueError):
+        Draws(gens, width=4)
+    with pytest.raises(ValueError):
+        Draws(gens, gens[:1])
+    with pytest.raises(ValueError):
+        Draws(gens).normal.take(np.ones(3, dtype=np.int64))
+
+
+def test_draws_of_caps_the_width():
+    streams = [RngStream(1, (r,)) for r in range(4)]
+    budget = motions.DRAW_BUDGET
+    assert Draws.of(streams, 3, budget).normal.width == budget // 4
+    assert Draws.of(streams, 3, 10).normal.width == 10
+    assert Draws.of(streams, 30, 10).uniform.width == 30
+    assert Draws.of([], 1, 2 * budget).normal.width == budget
+
+
+def _lockstep_forms(rng, m):
+    """(lockstep draws, reference of row r) of both forms: two buffered
+    streams a system, and one shared generator a system."""
+    streams = [rng.child(r) for r in range(m)]
+    yield Draws.of(streams, 2, 100), lambda r: _own(streams[r])
+    yield (Draws([s.generator() for s in streams]),
+           lambda r: Draws([streams[r].generator()]))
+
+
 @pytest.mark.parametrize("spec", [
     DiffusionSpec.arratia(), DiffusionSpec.ornstein_uhlenbeck(1.0, 1.3),
     DiffusionSpec.generic(lambda x: -np.sin(x),
@@ -255,12 +354,11 @@ def test_collapse_proposals_segments_equal_one_call_each(case):
     DriftInjectedSpec(kind="arratia", drift_amp=5.0)],
     ids=["arratia", "ou", "generic", "drift"])
 def test_segmented_diffusion_step_equals_one_call_per_segment(spec):
-    """Each segment of a lockstep proposal draws from its own generator
-    what a one-generator call on it draws; pairs across a cut (here often
-    out of order or equal) are neither flagged nor drawn for, and empty and
-    one-point segments draw nothing.  Both uniform draws are checked: sliced
-    per segment (many open pairs) and one scalar per pair (no more open
-    pairs than segments)."""
+    """Each segment of a lockstep proposal takes from its own row what a
+    one-row call on it takes, in both forms of draws; pairs across a cut
+    (here often out of order or equal) are neither flagged nor drawn for,
+    and empty and one-point segments draw nothing.  Both schedules are
+    checked: many open pairs, and no more open pairs than segments."""
     dt = 1e-2
     rng = RngStream(13, (0,))
     gen = rng.child(99).generator()
@@ -269,19 +367,21 @@ def test_segmented_diffusion_step_equals_one_call_per_segment(spec):
         systems[4] = systems[3][:2]         # equal values across a cut
         x = np.concatenate(systems)
         seg = np.concatenate(([0], np.cumsum([a.size for a in systems])))
-        gens = [rng.child(r).generator() for r in range(len(systems))]
-        prop, flags = propose_diffusion_step(spec, x, 0.3, dt, gens,
-                                             segments=seg)
-        for r, a in enumerate(systems):
-            lone = rng.child(r).generator()
-            want_p, want_f = propose_diffusion_step(spec, a, 0.3, dt, lone)
-            lo, hi = seg[r], seg[r + 1]
-            assert np.array_equal(prop[lo:hi], want_p)
-            assert np.array_equal(flags[lo:max(lo, hi - 1)], want_f)
-            if 0 < hi < x.size:
-                assert not flags[hi - 1]
-            assert gens[r].random() == lone.random()
-        assert flags.any() and not flags.all()
+        for draws, own in _lockstep_forms(rng, len(systems)):
+            prop, flags = propose_diffusion_step(spec, x, 0.3, dt, draws,
+                                                 segments=seg)
+            for r, a in enumerate(systems):
+                lone = own(r)
+                want_p, want_f = propose_diffusion_step(spec, a, 0.3, dt,
+                                                        lone)
+                lo, hi = seg[r], seg[r + 1]
+                assert np.array_equal(prop[lo:hi], want_p)
+                assert np.array_equal(flags[lo:max(lo, hi - 1)], want_f)
+                if 0 < hi < x.size:
+                    assert not flags[hi - 1]
+                assert (_next_draws(draws, r, len(systems))
+                        == _next_draws(lone, 0, 1))
+            assert flags.any() and not flags.all()
 
 
 STEP_SPECS = [
@@ -292,47 +392,52 @@ STEP_SPECS = [
     HarrisSpec(gamma=1.0), HarrisSpec(gamma=200.0)]
 
 
-def _step(spec, x, gen, segments=None):
+def _step(spec, x, draws, segments=None):
     if isinstance(spec, HarrisSpec):
-        return propose_harris_step(spec, x, 1e-2, gen, segments)
-    return propose_diffusion_step(spec, x, 0.1, 1e-2, gen, segments)
+        return propose_harris_step(spec, x, 1e-2, draws, segments)
+    return propose_diffusion_step(spec, x, 0.1, 1e-2, draws, segments)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=12), min_size=1,
                 max_size=8),
        st.sampled_from(STEP_SPECS), st.integers(min_value=0, max_value=999))
 def test_segmented_step_equals_one_generator_calls(sizes, spec, seed):
-    """Every step kernel, Harris included: a segmented call is the
-    one-generator calls on its segments end to end (empty and one-entry
-    segments too, values often equal across a cut), flags no pair across a
-    cut, and leaves every generator at the same next draw."""
+    """Every step kernel, Harris included, in both forms of draws: a
+    segmented call is the one-row calls on its segments end to end (empty
+    and one-entry segments too, values often equal across a cut), flags no
+    pair across a cut, and leaves every row at the same next draws; a lone
+    Generator is the shared one-row form."""
     rng = RngStream(seed, (0,))
     layout = RngStream(seed, (1,)).generator()
     systems = [np.sort(layout.choice(64, n, replace=False)) / 200.0
                for n in sizes]
     x = np.concatenate(systems)
     seg = np.concatenate(([0], np.cumsum(sizes)))
-    gens = [rng.child(r).generator() for r in range(len(sizes))]
-    prop, flags = _step(spec, x, gens, seg)
-    assert prop.shape == x.shape and flags.shape == (max(x.size - 1, 0),)
-    for r, a in enumerate(systems):
-        lone = rng.child(r).generator()
-        want_p, want_f = _step(spec, a, lone)
-        lo, hi = seg[r], seg[r + 1]
-        assert np.array_equal(prop[lo:hi], want_p)
-        assert np.array_equal(flags[lo:max(lo, hi - 1)], want_f)
-        if 0 < hi < x.size:
-            assert not flags[hi - 1]
-        assert gens[r].random() == lone.random()
+    for draws, own in _lockstep_forms(rng, len(sizes)):
+        prop, flags = _step(spec, x, draws, seg)
+        assert prop.shape == x.shape and flags.shape == (max(x.size - 1, 0),)
+        for r, a in enumerate(systems):
+            lone = own(r)
+            want_p, want_f = _step(spec, a, lone)
+            lo, hi = seg[r], seg[r + 1]
+            assert np.array_equal(prop[lo:hi], want_p)
+            assert np.array_equal(flags[lo:max(lo, hi - 1)], want_f)
+            if 0 < hi < x.size:
+                assert not flags[hi - 1]
+            assert _next_draws(draws, r, len(sizes)) == _next_draws(lone, 0, 1)
+    gen = rng.child(0).generator()
+    want_p, want_f = _step(spec, systems[0], Draws([rng.child(0).generator()]))
+    got_p, got_f = _step(spec, systems[0], gen)
+    assert np.array_equal(got_p, want_p) and np.array_equal(got_f, want_f)
 
 
 def test_step_preserves_order_and_permanence():
     spec = DiffusionSpec.arratia()
-    gen = RngStream(5, (1,)).generator()
+    draws = _own(RngStream(5, (1,)))
     pos = np.linspace(0, 1, 33)
     label = np.arange(33)
     for k in range(400):
-        pos, _, counts = step_system(spec, pos, k * 1e-3, 1e-3, gen)
+        pos, _, counts = step_system(spec, pos, k * 1e-3, 1e-3, draws)
         assert np.all(np.diff(pos) > 0)
         label = np.repeat(np.arange(counts.size), counts)[label]
     assert pos.size < 33  # coalescence happened

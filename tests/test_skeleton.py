@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coalflow import motions
 from coalflow.cli import main
 from coalflow.errors import ConfigError, OffGridTime, OutOfHorizon
 from coalflow.flows import EvalQuery, evaluate_with_id, skeleton_flow_element
@@ -207,13 +208,18 @@ GENERIC = DiffusionSpec.generic(lambda x: -np.sin(x),
     HarrisSpec(gamma=200.0)],
     ids=["arratia", "ou", "generic", "drift", "harris-0.25", "harris-1",
          "harris-16", "harris-200"])
-def test_lockstep_block_equals_one_stream_builds(model, width):
+def test_lockstep_block_equals_one_stream_builds(model, width, monkeypatch):
+    """At the default draw width; the observing block draws at the least
+    width, so its rows refill at other steps than the one-stream builds'."""
     rng = RngStream(21, (3,))
     streams = [rng.child(r) for r in range(width)]
     for observe in ("all", (0.1, 0.25)):
         cfg = small_config(t1=0.3, row_period=0.05, model=model,
                            observe=observe)
+        if observe != "all":
+            monkeypatch.setattr(motions, "DRAW_BUDGET", 0)
         block = build_skeleton(cfg, streams)
+        monkeypatch.undo()
         assert len(block) == width
         for skel, stream in zip(block, streams):
             _assert_same_build(skel, build_skeleton(cfg, stream))

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from coalflow import kernels, verify
-from coalflow.motions import (DiffusionSpec, HarrisSpec,
+from coalflow import kernels, motions, verify
+from coalflow.motions import (DiffusionSpec, Draws, HarrisSpec,
                               propose_diffusion_step, step_system)
 from coalflow.flows import EvalQuery, evaluate, shift, skeleton_flow_element
 from coalflow.rng import RngStream
@@ -128,22 +128,36 @@ def test_stopped_equivalence_and_control():
     assert not bad.passed
 
 
+def _own(stream):
+    """A replica's own two streams, drawn from directly (width 0): normals
+    from stream.child(0), uniforms from stream.child(1)."""
+    return Draws([stream.child(0).generator()], [stream.child(1).generator()])
+
+
+def _next_draws(draws, r, m):
+    """The next normal and the next uniform of row r of m."""
+    one = np.zeros(m, dtype=np.int64)
+    one[r] = 1
+    return draws.normal.take(one)[0], draws.uniform.take(one)[0]
+
+
 def _reference_stopped_paths(spec, starts, t, dt, replicas, rng,
                              checkpoint_steps):
     """The per-replica loop the lockstep sampler replaced: each replica runs
-    alone, one one-system step_system call a step until its pair merges."""
+    alone on its own two streams, one one-system step_system call a step
+    until its pair merges."""
     cps = sorted(checkpoint_steps)
     n_steps = int(round(t / dt))
     out = np.empty((replicas, 2 * len(cps) + 1), dtype=float)
     for r in range(replicas):
-        gen = rng.child(r).generator()
+        draws = _own(rng.child(r))
         pos = np.asarray(starts, dtype=float)
         meet_time = float(t)
         row = []
         cp_iter = list(cps)
         for k in range(1, n_steps + 1):
             if pos.size == 2:
-                pos, _, _ = step_system(spec, pos, (k - 1) * dt, dt, gen)
+                pos, _, _ = step_system(spec, pos, (k - 1) * dt, dt, draws)
                 if pos.size < 2:
                     meet_time = k * dt
             while cp_iter and k == cp_iter[0]:
@@ -158,18 +172,24 @@ def _reference_stopped_paths(spec, starts, t, dt, replicas, rng,
 @pytest.mark.parametrize("dt", [1e-2, 1e-3])
 @pytest.mark.parametrize("starts", [(0.2, 0.201), (-0.3, 0.4)],
                          ids=["close", "wide"])
-def test_lockstep_stopped_paths_match_per_replica_loop(spec, dt, starts):
+def test_lockstep_stopped_paths_match_per_replica_loop(spec, dt, starts,
+                                                      monkeypatch):
+    """At the default draw width, at the least width (refills every step)
+    and at width 3 (rows refill at different steps)."""
     t = 0.2
     n_steps = round(t / dt)
     cps = sorted({max(1, (i + 1) * n_steps // 8) for i in range(8)})
     rng = RngStream(11, (5,))
     for replicas in (0, 1, 200):
-        got = verify._production_stopped_paths(spec, starts, t, dt, replicas,
-                                               rng, cps)
         want = _reference_stopped_paths(spec, starts, t, dt, replicas, rng,
                                         cps)
-        assert got.shape == (replicas, 2 * len(cps) + 1)
-        assert np.array_equal(got, want)
+        for budget in (motions.DRAW_BUDGET, 0, 3 * replicas):
+            monkeypatch.setattr(motions, "DRAW_BUDGET", budget)
+            got = verify._production_stopped_paths(spec, starts, t, dt,
+                                                   replicas, rng, cps)
+            monkeypatch.undo()
+            assert got.shape == (replicas, 2 * len(cps) + 1)
+            assert np.array_equal(got, want)
     meet = want[:, -1]
     if starts[1] - starts[0] < 1e-2:
         # some pairs merge at step 1, before the first checkpoint
@@ -181,41 +201,41 @@ def test_lockstep_stopped_paths_match_per_replica_loop(spec, dt, starts):
 @PAIR_SPECS
 def test_lockstep_step_draws_what_a_one_system_step_draws(spec):
     """A pair stepped as a two-entry segment of a lockstep step_system call
-    consumes exactly the draws of its one-system step, so the next draw of
-    every generator agrees afterwards; pairs that merge by a sign change
-    draw no uniform."""
+    takes exactly the draws of its one-system step, so the next draws of
+    every row agree afterwards; pairs that merge by a sign change draw no
+    uniform."""
     dt = 1e-2
     rng = RngStream(12, (0,))
     x = np.array([[0.2, 0.201], [-0.3, 0.4]] * 100)
     seg = np.arange(0, x.size + 1, 2)
-    gens = [rng.child(r).generator() for r in range(len(x))]
-    got, groups, _ = step_system(spec, x.ravel(), 0.0, dt, gens, seg)
+    streams = [rng.child(r) for r in range(len(x))]
+    draws = Draws.of(streams, 2, 100)
+    got, groups, _ = step_system(spec, x.ravel(), 0.0, dt, draws, seg)
     ends = np.searchsorted(groups, seg)
     merged = np.diff(ends) == 1
     crossed = np.zeros(len(x), dtype=bool)
     for r, row in enumerate(x):
-        gen = rng.child(r).generator()
-        pos, _, _ = step_system(spec, row, 0.0, dt, gen)
+        lone = _own(streams[r])
+        pos, _, _ = step_system(spec, row, 0.0, dt, lone)
         assert merged[r] == (pos.size == 1)
         assert np.array_equal(got[ends[r]:ends[r + 1]], pos)
-        nxt = gens[r].random()
-        assert nxt == gen.random()
+        nxt = _next_draws(draws, r, len(x))
+        assert nxt == _next_draws(lone, 0, 1)
         prop, _ = propose_diffusion_step(spec, row, 0.0, dt,
-                                         rng.child(r).generator())
+                                         _own(streams[r]))
         crossed[r] = prop[1] <= prop[0]
-        normals_only = rng.child(r).generator()
-        normals_only.standard_normal(2)
-        assert (nxt == normals_only.random()) == crossed[r]
+        first_uniform = streams[r].child(1).generator().random()
+        assert (nxt[1] == first_uniform) == crossed[r]
     assert crossed.any() and (merged & ~crossed).any() and not merged.all()
     # a Harris lockstep step is the one-system steps end to end
-    gens = [rng.child(r).generator() for r in range(len(x))]
-    got, groups, _ = step_system(HarrisSpec(), x.ravel(), 0.0, dt, gens, seg)
+    draws = Draws.of(streams, 2, 100)
+    got, groups, _ = step_system(HarrisSpec(), x.ravel(), 0.0, dt, draws, seg)
     ends = np.searchsorted(groups, seg)
     for r, row in enumerate(x):
-        gen = rng.child(r).generator()
-        pos, _, _ = step_system(HarrisSpec(), row, 0.0, dt, gen)
+        lone = _own(streams[r])
+        pos, _, _ = step_system(HarrisSpec(), row, 0.0, dt, lone)
         assert np.array_equal(got[ends[r]:ends[r + 1]], pos)
-        assert gens[r].random() == gen.random()
+        assert _next_draws(draws, r, len(x)) == _next_draws(lone, 0, 1)
     assert np.any(np.diff(ends) == 1) and not np.all(np.diff(ends) == 1)
 
 
