@@ -29,8 +29,9 @@ REPLICA_DEFAULTS = {
     "control_stopped": 1500, "control_shift": 500,
 }
 
-# least replica count of a check at any scale or override: a negative
-# control run below its default count stops detecting its planted defect
+# least replica count of a check at any scale, and of any override: a
+# negative control run below its default count stops detecting its planted
+# defect
 REPLICA_FLOORS = {"control_meeting": 20_000, "control_stopped": 1500}
 
 KNOWN_BUNDLES = (
@@ -73,6 +74,9 @@ class RunConfig:
                     or not 0 < n < math.inf):
                 raise ConfigError(f"replicas[{key!r}] must be a positive "
                                   f"finite number, not {n!r}")
+            if n < REPLICA_FLOORS.get(key, 0):
+                raise ConfigError(f"replicas[{key!r}] = {n!r} is below its "
+                                  f"floor of {REPLICA_FLOORS[key]:,}")
         for key, n in dict(REPLICA_DEFAULTS, **self.replicas).items():
             if not n * self.scale <= MAX_GRID:
                 raise ConfigError(f"{n * self.scale:.4g} {key} replicas "
@@ -100,7 +104,7 @@ class RunConfig:
     def n_replicas(self, key: str) -> int:
         """The replica count of a REPLICA_DEFAULTS key: its override or
         default, times scale, rounded and at least its REPLICA_FLOORS
-        entry (else 1)."""
+        entry (else 1); an override below that entry is a ConfigError."""
         n = self.replicas.get(key, REPLICA_DEFAULTS[key])
         return max(REPLICA_FLOORS.get(key, 1), int(round(n * self.scale)))
 

@@ -207,7 +207,7 @@ def collapse_proposals(prop: np.ndarray, merge_next: np.ndarray,
     pos = np.add.reduceat(prop, starts) / counts
     # the group each later segment opens with; the group before it belongs
     # to another system
-    head = np.searchsorted(starts, _segments(segments, n)[2])
+    head = np.searchsorted(starts, _segments(segments, n)[1])
     rising = pos[1:] > pos[:-1]
     rising[head - 1] = True
     if rising.all():
@@ -236,14 +236,13 @@ def collapse_proposals(prop: np.ndarray, merge_next: np.ndarray,
 
 
 def _segments(segments: Optional[np.ndarray], n: int):
-    """(segments, bounds, heads) of n entries: None is the one segment
-    [0, n], bounds the offsets as a list and heads those inside (0, n); the
-    pair (h - 1, h) of a head h straddles a cut."""
+    """(segments, heads) of n entries: None is the one segment [0, n], and
+    heads the offsets inside (0, n); the pair (h - 1, h) of a head h
+    straddles a cut."""
     if segments is None:
         segments = np.array([0, n])
     bounds = segments.tolist()
-    return (segments, bounds,
-            segments[bisect_right(bounds, 0):bisect_left(bounds, n)])
+    return segments, segments[bisect_right(bounds, 0):bisect_left(bounds, n)]
 
 
 # entries per kind that a lockstep block's draw buffers hold
@@ -262,34 +261,27 @@ class _Kind:
         self.cur = np.zeros(len(gens), dtype=np.int64)
         self.end = np.zeros(len(gens), dtype=np.int64)
 
-    def take(self, counts: np.ndarray) -> np.ndarray:
-        """The next counts[r] values of every row r, rows end to end."""
-        if len(counts) != len(self.draw):
-            raise ValueError(f"{len(counts)} counts for {len(self.draw)} rows")
-        total = int(counts.sum())
+    def take(self, offsets: np.ndarray) -> np.ndarray:
+        """The next values of every row r, as out[offsets[r]:offsets[r + 1]]
+        of one array (offsets nondecreasing from 0, one more than rows)."""
+        if len(offsets) != len(self.draw) + 1:
+            raise ValueError(f"{len(offsets)} offsets for "
+                             f"{len(self.draw)} rows")
         if not self.width:
-            out = np.empty(total)
-            a = 0
-            for draw, c in zip(self.draw, counts.tolist()):
-                if c:
-                    draw(out=out[a:a + c])
-                    a += c
+            bounds = offsets.tolist()
+            out = np.empty(bounds[-1])
+            for draw, a, b in zip(self.draw, bounds[:-1], bounds[1:]):
+                if b > a:
+                    draw(out=out[a:b])
             return out
-        if counts.size == 1:            # one row: a slice, no gather
-            c = total
-            if self.cur[0] + c > self.end[0]:
-                self._refill(0, c)
-            a = int(self.cur[0])
-            self.cur[0] = a + c
-            return self.buf[0, a:a + c].copy()
+        counts = np.diff(offsets)
         nxt = self.cur + counts
         for r in np.flatnonzero(nxt > self.end).tolist():
             self._refill(r, int(counts[r]))
             nxt[r] = counts[r]
         cols = self.buf.shape[1]
-        first = np.cumsum(counts) - counts
         idx = np.repeat(np.arange(0, cols * counts.size, cols) + self.cur
-                        - first, counts) + np.arange(total)
+                        - offsets[:-1], counts) + np.arange(offsets[-1])
         self.cur = nxt
         return self.buf.take(idx)
 
@@ -332,13 +324,14 @@ class Draws:
         self.uniform = _Kind(uniform_gens, "random", width)
 
     @staticmethod
-    def of(streams: Sequence[RngStream], need: int, most: int) -> "Draws":
+    def of(streams: Sequence[RngStream]) -> "Draws":
         """Two-stream draws of replica streams: normals from
         stream.child(0), uniforms from stream.child(1).  Each kind's
-        buffers hold about DRAW_BUDGET entries, at least need a row (the
-        most a row takes in one step) and no more than most (the most it
-        takes in all), which moves no value."""
-        width = max(min(DRAW_BUDGET // max(len(streams), 1), most), need)
+        buffers start at DRAW_BUDGET entries a block and widen only to the
+        most a row takes in one step; one stream has nothing to gather
+        and draws straight from its generators (width 0)."""
+        m = len(streams)
+        width = DRAW_BUDGET // m if m > 1 else 0
         return Draws([s.child(0).generator() for s in streams],
                      [s.child(1).generator() for s in streams], width)
 
@@ -349,8 +342,8 @@ def _segment_normals(draws, segments: Optional[np.ndarray], n: int):
     and z each segment's normals end to end."""
     if isinstance(draws, np.random.Generator):
         draws = Draws([draws])
-    segments, bounds, heads = _segments(segments, n)
-    z = draws.normal.take(np.diff(segments))
+    segments, heads = _segments(segments, n)
+    z = draws.normal.take(segments)
     return draws, segments, z, heads
 
 
@@ -424,8 +417,8 @@ def propose_diffusion_step(spec: DiffusionSpec, positions: np.ndarray,
     if pairs.size:
         ends = None if b is None else (b[:-1], b[1:])
         expo = _bridge_exponent(spec, x[1:] - x[:-1], d1, ends, dt)[pairs]
-        # each segment's open pairs
-        u = draws.uniform.take(np.diff(np.searchsorted(pairs, segments)))
+        # offsets of each segment's open pairs
+        u = draws.uniform.take(np.searchsorted(pairs, segments))
         hit = u < np.exp(expo)
         if hit.any():
             flags[pairs] = hit
@@ -506,7 +499,7 @@ def sample_npoint_motion(model: MotionModel, starts: Sequence[float],
         raise NegativeDuration("need dt > 0 and horizon >= 0")
     n_steps = int(round(horizon / dt))
     pos, label = np.unique(starts, return_inverse=True)
-    draws = Draws.of([rng], pos.size, n_steps * pos.size)
+    draws = Draws.of([rng])
     path = np.empty((n_steps + 1, starts.size), dtype=float)
     path[0] = pos[label]
     for k in range(n_steps):

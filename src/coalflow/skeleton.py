@@ -555,7 +555,7 @@ def build_skeleton(config: SkeletonConfig, rng):
     merge_step = np.full(m * n, -1, dtype=np.int64)
     first = np.searchsorted(act, np.arange(K + 2))  # ids first[k]:first[k+1]
 
-    draws = Draws.of(rngs, n, K * n)
+    draws = Draws.of(rngs)
     live_id = np.zeros(0, dtype=np.int64)
     live_pos = np.zeros(0)
     seg = np.zeros(m + 1, dtype=np.int64)

@@ -255,8 +255,7 @@ def _production_stopped_paths(spec: DiffusionSpec, starts, t: float,
     n_steps = int(round(t / dt))
     if cps and not 1 <= cps[0] <= cps[-1] <= n_steps:
         raise ValueError(f"checkpoint steps must lie in 1..{n_steps}")
-    draws = Draws.of([rng.child(r) for r in range(replicas)], 2,
-                     2 * n_steps)
+    draws = Draws.of([rng.child(r) for r in range(replicas)])
     cur = np.tile(np.asarray(starts, dtype=float), replicas)
     seg = np.arange(0, cur.size + 1, 2)
     pos = cur.reshape(replicas, 2).copy()   # every replica; frozen once met

@@ -45,6 +45,23 @@ def test_config_validation():
         RunConfig.from_dict({"model": {"kind": "unknown"}})
 
 
+def test_n_replicas_keeps_the_control_floors():
+    """A scale never takes a negative control below its floor, and an
+    override below it is refused rather than raised."""
+    small = RunConfig(scale=0.05)
+    assert small.n_replicas("control_stopped") == 1500
+    assert small.n_replicas("control_meeting") == 20_000
+    assert small.n_replicas("stopped") == 250
+    assert small.n_replicas("control_shift") == 25
+    big = RunConfig(scale=0.05, replicas={"control_stopped": 40_000})
+    assert big.n_replicas("control_stopped") == 2000
+    assert RunConfig(replicas={"control_stopped": 1500}).n_replicas(
+        "control_stopped") == 1500
+    for key in ("control_stopped", "control_meeting"):
+        with pytest.raises(ConfigError, match="floor"):
+            RunConfig(replicas={key: 100})
+
+
 @pytest.mark.parametrize("skeleton", [
     {"window": [0, float("inf")]}, {"window": [0]}, {"window": 1},
     {"t1": float("inf")}, {"t0": float("nan")}, {"dx": "a"},
@@ -73,6 +90,8 @@ def test_bad_skeleton_config_exits_2(tmp_path, capsys, skeleton):
     # a key no check reads, and counts above the cap
     {"replicas": {"stoped": 5}}, {"replicas": {"stopped": 1e300}},
     {"scale": 1e200},
+    # a negative control below the count that detects its defect
+    {"replicas": {"control_stopped": 100}},
     # a bool is not a number, and a stride is at least 1
     {"seed": True}, {"scale": True}, {"export_stride": True},
     {"export_stride": 0}, {"export_stride": -3},

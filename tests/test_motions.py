@@ -12,6 +12,7 @@ from coalflow.errors import (EmptyStarts, InvalidGap, NegativeDuration,
                              NonPositiveDiffusion)
 from coalflow import motions
 from coalflow.motions import (DiffusionSpec, Draws, HarrisSpec,
+                              _euler_proposal,
                               bridge_cross_probability, collapse_proposals,
                               pair_no_meet_probability_exact,
                               propose_diffusion_step, propose_harris_step,
@@ -260,9 +261,14 @@ def _own(stream):
 
 def _next_draws(draws, r, m):
     """The next normal and the next uniform of row r of m."""
-    one = np.zeros(m, dtype=np.int64)
-    one[r] = 1
+    one = np.zeros(m + 1, dtype=np.int64)
+    one[r + 1:] = 1
     return draws.normal.take(one)[0], draws.uniform.take(one)[0]
+
+
+def _take(kind, counts):
+    """The next counts[r] values of every row r of a kind, end to end."""
+    return kind.take(np.concatenate(([0], np.cumsum(counts))))
 
 
 @st.composite
@@ -301,8 +307,8 @@ def test_draws_rows_equal_their_own_streams(case, seed):
     streams = [RngStream(seed, (2, r)) for r in range(m)]
     draws = Draws([s.child(0).generator() for s in streams],
                   [s.child(1).generator() for s in streams], width)
-    normals = [draws.normal.take(n) for n, _ in schedule]
-    uniforms = [draws.uniform.take(u) for _, u in schedule]
+    normals = [_take(draws.normal, n) for n, _ in schedule]
+    uniforms = [_take(draws.uniform, u) for _, u in schedule]
     for r, (z, u) in enumerate(zip(_rows(normals, [n for n, _ in schedule]),
                                    _rows(uniforms, [u for _, u in schedule]))):
         assert np.array_equal(
@@ -312,7 +318,7 @@ def test_draws_rows_equal_their_own_streams(case, seed):
     shared = Draws([s.generator() for s in streams])
     refs = [s.generator() for s in streams]
     for n, u in schedule:
-        got_z, got_u = shared.normal.take(n), shared.uniform.take(u)
+        got_z, got_u = _take(shared.normal, n), _take(shared.uniform, u)
         want_z = [g.standard_normal(c) for g, c in zip(refs, n.tolist())]
         want_u = [g.random(c) for g, c in zip(refs, u.tolist())]
         assert np.array_equal(got_z, np.concatenate(want_z))
@@ -326,23 +332,36 @@ def test_draws_refuse_shared_buffers_and_wrong_row_counts():
     with pytest.raises(ValueError):
         Draws(gens, gens[:1])
     with pytest.raises(ValueError):
-        Draws(gens).normal.take(np.ones(3, dtype=np.int64))
+        Draws(gens).normal.take(np.arange(4))
 
 
-def test_draws_of_caps_the_width():
+def test_draws_of_caps_the_width(monkeypatch):
+    """A block's buffers start at DRAW_BUDGET entries a kind and widen only
+    to the most a row takes in one step, however many that row takes in
+    all; one stream draws straight from its generators."""
     streams = [RngStream(1, (r,)) for r in range(4)]
     budget = motions.DRAW_BUDGET
-    assert Draws.of(streams, 3, budget).normal.width == budget // 4
-    assert Draws.of(streams, 3, 10).normal.width == 10
-    assert Draws.of(streams, 30, 10).uniform.width == 30
-    assert Draws.of([], 1, 2 * budget).normal.width == budget
+    assert Draws.of(streams).normal.buf.shape == (4, budget // 4)
+    assert Draws.of(streams[:1]).normal.width == 0
+    assert Draws.of([]).uniform.width == 0
+    monkeypatch.setattr(motions, "DRAW_BUDGET", 8)
+    draws = Draws.of(streams)
+    schedule = [[5, 0, 3, 1], [1, 2, 0, 4], [0, 0, 0, 0]] * 4
+    z = [_take(draws.normal, c) for c in schedule]
+    assert draws.normal.buf.shape == (4, 5)
+    for r, got in enumerate(_rows(z, [np.array(c) for c in schedule])):
+        assert np.array_equal(
+            got, streams[r].child(0).generator().standard_normal(got.size))
 
 
 def _lockstep_forms(rng, m):
-    """(lockstep draws, reference of row r) of both forms: two buffered
-    streams a system, and one shared generator a system."""
+    """(lockstep draws, reference of row r) of both forms: two streams a
+    system, buffered 3 wide so rows refill mid-call, and one shared
+    generator a system."""
     streams = [rng.child(r) for r in range(m)]
-    yield Draws.of(streams, 2, 100), lambda r: _own(streams[r])
+    yield (Draws([s.child(0).generator() for s in streams],
+                 [s.child(1).generator() for s in streams], 3),
+           lambda r: _own(streams[r]))
     yield (Draws([s.generator() for s in streams]),
            lambda r: Draws([streams[r].generator()]))
 
@@ -425,10 +444,16 @@ def test_segmented_step_equals_one_generator_calls(sizes, spec, seed):
             if 0 < hi < x.size:
                 assert not flags[hi - 1]
             assert _next_draws(draws, r, len(sizes)) == _next_draws(lone, 0, 1)
-    gen = rng.child(0).generator()
-    want_p, want_f = _step(spec, systems[0], Draws([rng.child(0).generator()]))
-    got_p, got_f = _step(spec, systems[0], gen)
-    assert np.array_equal(got_p, want_p) and np.array_equal(got_f, want_f)
+    # a lone Generator draws standard_normal(n), then random(k) for the k
+    # pairs still apart (none for Harris)
+    gen, ref = rng.child(0).generator(), rng.child(0).generator()
+    a = systems[0]
+    prop, _ = _step(spec, a, gen)
+    z = ref.standard_normal(a.size)
+    if not isinstance(spec, HarrisSpec):
+        assert np.array_equal(prop, _euler_proposal(spec, a, z, 0.1, 1e-2)[0])
+        ref.random(int(np.count_nonzero(np.diff(prop) > 0)))
+    assert gen.random() == ref.random()
 
 
 def test_step_preserves_order_and_permanence():

@@ -209,15 +209,16 @@ GENERIC = DiffusionSpec.generic(lambda x: -np.sin(x),
     ids=["arratia", "ou", "generic", "drift", "harris-0.25", "harris-1",
          "harris-16", "harris-200"])
 def test_lockstep_block_equals_one_stream_builds(model, width, monkeypatch):
-    """At the default draw width; the observing block draws at the least
-    width, so its rows refill at other steps than the one-stream builds'."""
+    """At the default draw width; the observing block draws one entry a
+    row ahead (far fewer than its trajectories), so its rows refill every
+    step, widening to the step's live count."""
     rng = RngStream(21, (3,))
     streams = [rng.child(r) for r in range(width)]
     for observe in ("all", (0.1, 0.25)):
         cfg = small_config(t1=0.3, row_period=0.05, model=model,
                            observe=observe)
         if observe != "all":
-            monkeypatch.setattr(motions, "DRAW_BUDGET", 0)
+            monkeypatch.setattr(motions, "DRAW_BUDGET", width)
         block = build_skeleton(cfg, streams)
         monkeypatch.undo()
         assert len(block) == width

@@ -136,8 +136,8 @@ def _own(stream):
 
 def _next_draws(draws, r, m):
     """The next normal and the next uniform of row r of m."""
-    one = np.zeros(m, dtype=np.int64)
-    one[r] = 1
+    one = np.zeros(m + 1, dtype=np.int64)
+    one[r + 1:] = 1
     return draws.normal.take(one)[0], draws.uniform.take(one)[0]
 
 
@@ -174,8 +174,9 @@ def _reference_stopped_paths(spec, starts, t, dt, replicas, rng,
                          ids=["close", "wide"])
 def test_lockstep_stopped_paths_match_per_replica_loop(spec, dt, starts,
                                                       monkeypatch):
-    """At the default draw width, at the least width (refills every step)
-    and at width 3 (rows refill at different steps)."""
+    """At the default draw width, unbuffered (width 0), at width 1 (rows
+    refill every step) and at widths 3 and 8 (rows refill at different
+    steps)."""
     t = 0.2
     n_steps = round(t / dt)
     cps = sorted({max(1, (i + 1) * n_steps // 8) for i in range(8)})
@@ -183,7 +184,8 @@ def test_lockstep_stopped_paths_match_per_replica_loop(spec, dt, starts,
     for replicas in (0, 1, 200):
         want = _reference_stopped_paths(spec, starts, t, dt, replicas, rng,
                                         cps)
-        for budget in (motions.DRAW_BUDGET, 0, 3 * replicas):
+        for budget in (motions.DRAW_BUDGET, 0, replicas, 3 * replicas,
+                       8 * replicas):
             monkeypatch.setattr(motions, "DRAW_BUDGET", budget)
             got = verify._production_stopped_paths(spec, starts, t, dt,
                                                    replicas, rng, cps)
@@ -209,7 +211,7 @@ def test_lockstep_step_draws_what_a_one_system_step_draws(spec):
     x = np.array([[0.2, 0.201], [-0.3, 0.4]] * 100)
     seg = np.arange(0, x.size + 1, 2)
     streams = [rng.child(r) for r in range(len(x))]
-    draws = Draws.of(streams, 2, 100)
+    draws = Draws.of(streams)
     got, groups, _ = step_system(spec, x.ravel(), 0.0, dt, draws, seg)
     ends = np.searchsorted(groups, seg)
     merged = np.diff(ends) == 1
@@ -228,7 +230,7 @@ def test_lockstep_step_draws_what_a_one_system_step_draws(spec):
         assert (nxt[1] == first_uniform) == crossed[r]
     assert crossed.any() and (merged & ~crossed).any() and not merged.all()
     # a Harris lockstep step is the one-system steps end to end
-    draws = Draws.of(streams, 2, 100)
+    draws = Draws.of(streams)
     got, groups, _ = step_system(HarrisSpec(), x.ravel(), 0.0, dt, draws, seg)
     ends = np.searchsorted(groups, seg)
     for r, row in enumerate(x):
