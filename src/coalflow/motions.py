@@ -50,8 +50,8 @@ class DiffusionSpec:
 
     @staticmethod
     def ornstein_uhlenbeck(rate: float, sigma: float) -> "DiffusionSpec":
-        if rate <= 0 or sigma <= 0:
-            raise ValueError("OU needs rate > 0 and sigma > 0")
+        if not (0 < rate < math.inf and 0 < sigma < math.inf):
+            raise ValueError("OU needs finite rate > 0 and sigma > 0")
         return DiffusionSpec(kind="ou", rate=rate, sigma=sigma)
 
     @staticmethod
@@ -92,8 +92,8 @@ class HarrisSpec:
     merge_gap: float = 1e-9
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not (0 < self.gamma < math.inf and math.isfinite(self.merge_gap)):
+            raise ValueError("need finite gamma > 0 and a finite merge_gap")
 
     def correlation(self, x):
         return np.exp(-self.gamma * np.abs(np.asarray(x, dtype=float)))
@@ -112,6 +112,8 @@ def scale_function(spec: DiffusionSpec, x: float) -> float:
     Strictly increasing with m(0) = 0, x itself without drift; else nested
     scipy quad at relative tolerance 1e-10, as m enters acceptance bounds.
     """
+    if not math.isfinite(x):
+        raise ValueError(f"x = {x} is not finite")
     if not spec.has_drift or x == 0.0:
         return float(x)
     # imported here: simulate and export never need scipy
@@ -119,8 +121,8 @@ def scale_function(spec: DiffusionSpec, x: float) -> float:
 
     def over_b2(z):
         b = float(spec.diffusion(z))
-        if b <= 0.0:
-            raise NonPositiveDiffusion(f"b({z}) = {b} <= 0")
+        if not b > 0.0:
+            raise NonPositiveDiffusion(f"b({z}) = {b} is not positive")
         return float(spec.drift(z)) / (b * b)
 
     def integrand(y):
@@ -151,10 +153,10 @@ def meeting_bound_reference(spec: DiffusionSpec, x: float, y: float,
 def pair_no_meet_probability_exact(x: float, y: float, t: float) -> float:
     """P(two independent standard Brownian motions from x <= y have not met
     by t) = erf((y-x) / (2 sqrt(t))), by reflection on the gap process."""
-    if t < 0:
+    if not 0 <= t < math.inf:
         raise NegativeDuration(f"t = {t}")
-    if x > y:
-        raise ValueError("need x <= y")
+    if not (math.isfinite(x) and math.isfinite(y) and x <= y):
+        raise ValueError("need finite x <= y")
     if t == 0.0:
         return 0.0 if x == y else 1.0
     return math.erf((y - x) / (2.0 * math.sqrt(t)))
@@ -164,12 +166,12 @@ def bridge_cross_probability(d0: float, d1: float, dt: float,
                              variance_rate: float) -> float:
     """P(gap process pinned at d0, d1 over a step of length dt touched zero),
     exp(-2 d0 d1 / (variance_rate dt)): the Brownian bridge minimum law."""
-    if d0 <= 0 or d1 <= 0:
-        raise InvalidGap(f"gaps must be positive, got {d0}, {d1}")
-    if dt <= 0:
+    if not (0 < d0 < math.inf and 0 < d1 < math.inf):
+        raise InvalidGap(f"gaps must be finite and positive, got {d0}, {d1}")
+    if not 0 < dt < math.inf:
         raise NegativeDuration(f"dt = {dt}")
-    if variance_rate <= 0:
-        raise ValueError("variance_rate must be positive")
+    if not 0 < variance_rate < math.inf:
+        raise ValueError("variance_rate must be finite and positive")
     return math.exp(-2.0 * d0 * d1 / (variance_rate * dt))
 
 
@@ -493,10 +495,10 @@ def sample_npoint_motion(model: MotionModel, starts: Sequence[float],
     starts = np.asarray(starts, dtype=float)
     if starts.size == 0:
         raise EmptyStarts("no starting points")
-    if np.any(np.diff(starts) < 0):
-        raise ValueError("starts must be sorted nondecreasing")
-    if dt <= 0 or horizon < 0:
-        raise NegativeDuration("need dt > 0 and horizon >= 0")
+    if not np.all(np.isfinite(starts)) or np.any(np.diff(starts) < 0):
+        raise ValueError("starts must be finite and sorted nondecreasing")
+    if not (0 < dt < math.inf and 0 <= horizon < math.inf):
+        raise NegativeDuration("need finite dt > 0 and horizon >= 0")
     n_steps = int(round(horizon / dt))
     pos, label = np.unique(starts, return_inverse=True)
     draws = Draws.of([rng])

@@ -10,11 +10,10 @@ The builder lays out the trajectory table (start value, activation step,
 parent, merge step) before it steps and keeps the live clusters as numpy
 arrays (ids, positions).  config.observe alone decides which steps are
 kept: every step for "all", else the steps of its times, and a build steps
-no further than the last of them.  The builder records the live positions
-at each kept step and the live ids at each injection (merges keep the
-order of the live clusters, so the ids place every record); grouped by id
-these are the histories, one flat array in id order with offsets.  Every
-read goes through them, and a step that is not kept is an OffGridTime.
+no further than the last of them.  Each kept step's record carries its
+live ids with their positions; grouped by id these are the histories, one
+flat array in id order with offsets.  Every read goes through them, and a
+step that is not kept is an OffGridTime.
 
 One engine builds a block of independent replicas in lockstep: their live
 clusters lie end to end in the live arrays, one segment per replica, and
@@ -61,8 +60,6 @@ _SNAP_TOL = 1e-9
 # most time steps, lattice points, start rows or trajectories a config may
 # ask for; checked arithmetically before any grid array is made
 MAX_GRID = 10_000_000
-# live entries of build records scattered into the history array at a time
-_SCATTER_ENTRIES = 8192
 _MAGIC = b"CFSK"
 _FORMAT_VERSION = 2
 
@@ -512,7 +509,7 @@ def build_skeleton(config: SkeletonConfig, rng):
     merged cluster keeps its least id; the ids it absorbs get it as parent
     and k as merge step), injects step k's starters (one landing exactly on
     a live position, or on an earlier starter of the step, merges at
-    injection) and records the live positions if step k is kept.
+    injection) and records the live ids and positions if step k is kept.
 
     The step kernels take their normals from rng.child(0) and their
     uniforms from rng.child(1), through motions.Draws.  rng may instead be
@@ -559,7 +556,7 @@ def build_skeleton(config: SkeletonConfig, rng):
     live_id = np.zeros(0, dtype=np.int64)
     live_pos = np.zeros(0)
     seg = np.zeros(m + 1, dtype=np.int64)
-    records, injected = [], []
+    records = []
     for k in range(K + 1):
         if k and live_pos.size:
             if isinstance(model, HarrisSpec):
@@ -604,15 +601,14 @@ def build_skeleton(config: SkeletonConfig, rng):
                 ids.append(np.concatenate([live_id[a:b], host[fresh]])[order])
             seg = np.concatenate(([0], np.cumsum([p.size for p in pos])))
             live_pos, live_id = np.concatenate(pos), np.concatenate(ids)
-            injected.append((k, live_id))
         # the live arrays are replaced, never written in place, so the
         # records can share them
         if rank[k + 1] > rank[k]:
-            records.append(live_pos)
+            records.append((live_id, live_pos))
 
     del draws       # its buffers go before the histories are built
-    flat, offsets = _histories(records, injected, np.tile(rank[act], m),
-                               merge_step, rank)
+    flat, offsets = _histories(records, np.tile(rank[act], m), merge_step,
+                               rank)
     flows = [SkeletonFlow(config, stream.seed, stream.path, u0, act,
                           parent[a:a + n] - a, merge_step[a:a + n],
                           flat[offsets[a]:offsets[a + n]],
@@ -621,18 +617,14 @@ def build_skeleton(config: SkeletonConfig, rng):
     return flows[0] if isinstance(rng, RngStream) else flows
 
 
-def _histories(records: list, injected: list, act_rank: np.ndarray,
-               merge_step: np.ndarray, rank: np.ndarray):
-    """(flat, offsets) of a build from its records, one per kept step, which
-    are freed as they are used.  Own history lengths follow from act_rank
-    (rank[act], overwritten), merge_step and rank.  Merges keep the order
-    of the live clusters, so the live ids at a step are those of the last
-    injection still live, in its order: scatter each kept step's positions
-    into their id-ordered places, a run of kept steps at a time.
+def _histories(records: list, act_rank: np.ndarray, merge_step: np.ndarray,
+               rank: np.ndarray):
+    """(flat, offsets) of a build from its records, one (live ids, live
+    positions) pair per kept step, which are freed as they are used.  Own
+    history lengths follow from act_rank (rank[act], overwritten),
+    merge_step and rank; kept step r's positions go to their ids' places.
     """
-    steps = np.flatnonzero(np.diff(rank))    # records[r] is steps[r]'s
-    ends = merge_step.copy()
-    ends[ends < 0] = rank.size - 1
+    ends = np.where(merge_step < 0, rank.size - 1, merge_step)
     # lengths, then offsets, in place: no further block-sized temporaries
     offsets = np.zeros(ends.size + 1, dtype=np.int64)
     lens = offsets[1:]
@@ -641,17 +633,9 @@ def _histories(records: list, injected: list, act_rank: np.ndarray,
     np.cumsum(lens, out=lens)
     flat = np.empty(int(offsets[-1]))
     at_rank0 = np.subtract(offsets[:-1], act_rank, out=act_rank)
-    b = steps.size
-    for k, ids in reversed(injected):
-        a = int(rank[k])
-        run = max(1, _SCATTER_ENTRIES // max(ids.size, 1))
-        for r0 in range(a, b, run):
-            ids = ids[ends[ids] > steps[r0]]
-            rs = np.arange(r0, min(r0 + run, b))[:, None]
-            flat[(at_rank0[ids] + rs)[ends[ids] > steps[rs]]] = np.concatenate(
-                records[r0:r0 + rs.size])
-        del records[a:]
-        b = a
+    while records:
+        ids, pos = records.pop()
+        flat[at_rank0[ids] + len(records)] = pos
     return flat, offsets
 
 

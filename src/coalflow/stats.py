@@ -60,9 +60,12 @@ def _pairwise_block(a: np.ndarray, b: np.ndarray, block: int = 2048) -> np.ndarr
         hi = min(lo + block, n)
         aa = a[lo:hi].astype(np.float64)
         asq = np.einsum("ij,ij->i", aa, aa)
-        g = asq[:, None] + bsq[None, :] - 2.0 * (aa @ bb.T)
+        # (asq + bsq) - 2 ab, with one row-block temporary beside g
+        g = aa @ bb.T
+        g *= 2.0
+        np.subtract(asq[:, None] + bsq[None, :], g, out=g)
         np.maximum(g, 0.0, out=g)
-        out[lo:hi] = np.sqrt(g, dtype=np.float64).astype(np.float32)
+        out[lo:hi] = np.sqrt(g, out=g)
     return out
 
 

@@ -80,6 +80,17 @@ def test_scale_rejects_nonpositive_diffusion():
     bad = DiffusionSpec.generic(lambda x: 0.0 * x, lambda x: x)
     with pytest.raises(NonPositiveDiffusion):
         scale_function(bad, 1.0)
+    nan_b = DiffusionSpec.generic(lambda x: 0.0 * x, lambda x: math.nan + x)
+    with pytest.raises(NonPositiveDiffusion):
+        scale_function(nan_b, 1.0)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_scale_rejects_non_finite_points(x):
+    for spec in (DiffusionSpec.arratia(),
+                 DiffusionSpec.ornstein_uhlenbeck(1.0, 1.0)):
+        with pytest.raises(ValueError):
+            scale_function(spec, x)
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +102,13 @@ def test_no_meet_probability_values():
     assert pair_no_meet_probability_exact(0.0, 1.0, 1.0) == pytest.approx(
         math.erf(0.5), abs=0.0)
     assert pair_no_meet_probability_exact(0.0, 1.0, 1e8) < 1e-3
-    with pytest.raises(NegativeDuration):
-        pair_no_meet_probability_exact(0.0, 1.0, -1.0)
+    for t in (-1.0, math.nan, math.inf):
+        with pytest.raises(NegativeDuration):
+            pair_no_meet_probability_exact(0.0, 1.0, t)
+    for x, y in ((1.0, 0.0), (math.nan, 1.0), (0.0, math.nan),
+                 (-math.inf, 0.0), (0.0, math.inf)):
+        with pytest.raises(ValueError):
+            pair_no_meet_probability_exact(x, y, 1.0)
 
 
 def test_no_meet_formula_vs_fine_step_monte_carlo():
@@ -120,10 +136,16 @@ def test_bridge_cross_probability_values():
     assert bridge_cross_probability(1, 1, 1, 2) == pytest.approx(math.exp(-1))
     assert bridge_cross_probability(1, 1, 1e-9, 2) < 1e-100
     assert bridge_cross_probability(1e-12, 1.0, 1.0, 2.0) > 0.999
-    with pytest.raises(InvalidGap):
-        bridge_cross_probability(0.0, 1.0, 1.0, 2.0)
-    with pytest.raises(NegativeDuration):
-        bridge_cross_probability(1.0, 1.0, 0.0, 2.0)
+    for d0, d1 in ((0.0, 1.0), (math.nan, 1.0), (1.0, math.nan),
+                   (math.inf, 1.0), (1.0, math.inf)):
+        with pytest.raises(InvalidGap):
+            bridge_cross_probability(d0, d1, 1.0, 2.0)
+    for dt in (0.0, math.nan, math.inf):
+        with pytest.raises(NegativeDuration):
+            bridge_cross_probability(1.0, 1.0, dt, 2.0)
+    for rate in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            bridge_cross_probability(1.0, 1.0, 1.0, rate)
 
 
 def _discrete_bridge_crossing(d0, d1, dt, rate, R, m, seed_path):
@@ -178,12 +200,16 @@ def test_from_starts_merges_duplicates():
 
 def test_from_starts_requires_sorted():
     spec = DiffusionSpec.arratia()
-    with pytest.raises(ValueError):
-        sample_npoint_motion(spec, [1.0, 0.0], 0.1, 1e-3, RngStream(0))
+    for starts in ([1.0, 0.0], [0.0, math.nan], [math.nan], [0.0, math.inf],
+                   [-math.inf, 0.0]):
+        with pytest.raises(ValueError):
+            sample_npoint_motion(spec, starts, 0.1, 1e-3, RngStream(0))
     with pytest.raises(EmptyStarts):
         sample_npoint_motion(spec, [], 0.1, 1e-3, RngStream(0))
-    with pytest.raises(NegativeDuration):
-        sample_npoint_motion(spec, [0.0], 0.1, 0.0, RngStream(0))
+    for horizon, dt in ((0.1, 0.0), (0.1, math.nan), (0.1, math.inf),
+                        (math.nan, 1e-3), (math.inf, 1e-3), (-0.1, 1e-3)):
+        with pytest.raises(NegativeDuration):
+            sample_npoint_motion(spec, [0.0], horizon, dt, RngStream(0))
 
 
 def test_collapse_proposals_groups_and_cascade():
@@ -555,8 +581,20 @@ def test_npoint_sampler_equals_one_row_skeleton(model):
 
 
 def test_harris_spec_validates():
+    for gamma in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            HarrisSpec(gamma=gamma)
+    for gap in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            HarrisSpec(merge_gap=gap)
+
+
+@pytest.mark.parametrize("rate, sigma", [(0.0, 1.0), (1.0, -1.0),
+                                         (math.nan, 1.0), (1.0, math.nan),
+                                         (math.inf, 1.0), (1.0, math.inf)])
+def test_ou_spec_validates(rate, sigma):
     with pytest.raises(ValueError):
-        HarrisSpec(gamma=-1.0)
+        DiffusionSpec.ornstein_uhlenbeck(rate, sigma)
 
 
 def test_harris_single_cluster_is_standard_brownian():

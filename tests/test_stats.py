@@ -57,6 +57,21 @@ def test_distance_correlation_independent_vs_dependent():
     assert p_dep <= 0.01
 
 
+@pytest.mark.parametrize("n, m", [(10, 10), (11, 5)])
+def test_pairwise_block_matches_broadcast_distances(n, m):
+    """Row blocks of 4 (two full, one short last) against float64
+    broadcasting, within float32 rounding; the square case is one sample
+    against itself, so its diagonal is 0."""
+    gen = RngStream(6, (n, m)).generator()
+    a = 3.0 * gen.standard_normal((n, 3))
+    b = a if n == m else gen.standard_normal((m, 3)) + 1.0
+    got = _pairwise_block(a, b, block=4)
+    ref = np.sqrt(((a[:, None] - b[None]) ** 2).sum(-1))
+    assert got.dtype == np.float32 and got.shape == (n, m)
+    np.testing.assert_allclose(got, ref, rtol=np.finfo(np.float32).eps,
+                               atol=1e-6)
+
+
 # Reference loops: one statistic per permutation, drawn in the same order
 # from the same stream, on the same float32 distance matrix but in float64.
 
